@@ -1,10 +1,9 @@
-// Shared flow-set builders for the flow-solver benches
-// (bench/flowsim_scaling.cpp and experiments/exp_flowsim_speedup.cpp):
-// both paper fabrics routed by their paper engines, with the three
-// traffic shapes the campaign layer solves -- uniform random
-// permutations, mpiGraph shifts and eBB bisections -- plus a merged
-// multi-permutation overlay, the congested many-filling-round regime the
-// indexed solver targets.
+// Flow-set builders for the flow-solver experiment
+// (experiments/exp_flowsim_speedup.cpp): both paper fabrics routed by
+// their paper engines, with the three traffic shapes the campaign layer
+// solves -- uniform random permutations, mpiGraph shifts and eBB
+// bisections -- plus a merged multi-permutation overlay, the congested
+// many-filling-level regime the indexed filler targets.
 #pragma once
 
 #include <cstdint>
@@ -106,7 +105,8 @@ inline std::vector<sim::Flow> ebb_flow_set(const FlowFabric& f,
 
 /// `overlays` permutations overlaid into ONE flow set: heterogeneous
 /// channel sharing drives the filling through many distinct levels, the
-/// regime where the reference's per-round full rescan is most expensive.
+/// regime where the rescan filler's per-level full rescan is most
+/// expensive.
 inline std::vector<sim::Flow> merged_permutations_set(const FlowFabric& f,
                                                       stats::Rng& rng,
                                                       std::int32_t overlays) {

@@ -365,42 +365,42 @@ OracleResult check_flow_invariants(const sim::FlowSim& fs,
 
 OracleResult check_flowsim_engines_identical(
     std::span<const double> reference_rates,
-    std::span<const double> indexed_rates,
+    std::span<const double> other_rates,
     const obs::FlowSolveRecord& reference_record,
-    const obs::FlowSolveRecord& indexed_record) {
-  if (reference_rates.size() != indexed_rates.size())
+    const obs::FlowSolveRecord& other_record) {
+  if (reference_rates.size() != other_rates.size())
     return oracle_fail("rate vector sizes differ");
-  // Bitwise, not ==: the contract is that the indexed engine replays the
-  // reference's exact FP operation order, so even -0.0 vs 0.0 or
+  // Bitwise, not ==: the contract is that the indexed filler replays the
+  // rescan's exact FP operation order, so even -0.0 vs 0.0 or
   // differently-rounded last bits are divergences.
   for (std::size_t i = 0; i < reference_rates.size(); ++i) {
-    if (std::memcmp(&reference_rates[i], &indexed_rates[i],
+    if (std::memcmp(&reference_rates[i], &other_rates[i],
                     sizeof(double)) != 0) {
       std::ostringstream os;
       os.precision(17);
       os << "rate[" << i << "] diverges: reference " << reference_rates[i]
-         << " vs indexed " << indexed_rates[i];
+         << " vs " << other_rates[i];
       return oracle_fail(os.str());
     }
   }
-  if (reference_record.active_flows != indexed_record.active_flows)
+  if (reference_record.active_flows != other_record.active_flows)
     return oracle_fail("FlowSolveRecord.active_flows differs");
-  if (reference_record.levels.size() != indexed_record.levels.size())
+  if (reference_record.levels.size() != other_record.levels.size())
     return oracle_fail("FlowSolveRecord.levels length differs");
   for (std::size_t i = 0; i < reference_record.levels.size(); ++i) {
-    if (std::memcmp(&reference_record.levels[i], &indexed_record.levels[i],
+    if (std::memcmp(&reference_record.levels[i], &other_record.levels[i],
                     sizeof(double)) != 0) {
       std::ostringstream os;
       os.precision(17);
       os << "FlowSolveRecord.levels[" << i << "] diverges: reference "
-         << reference_record.levels[i] << " vs indexed "
-         << indexed_record.levels[i];
+         << reference_record.levels[i] << " vs "
+         << other_record.levels[i];
       return oracle_fail(os.str());
     }
   }
-  if (reference_record.freezes_per_level != indexed_record.freezes_per_level)
+  if (reference_record.freezes_per_level != other_record.freezes_per_level)
     return oracle_fail("FlowSolveRecord.freezes_per_level differs");
-  if (reference_record.saturated != indexed_record.saturated)
+  if (reference_record.saturated != other_record.saturated)
     return oracle_fail(
         "FlowSolveRecord.saturated differs (set or first-saturation order)");
   return oracle_pass();
@@ -837,10 +837,7 @@ OracleResult oracle_flow_invariants(const Scenario& s) {
 
 OracleResult oracle_flowsim_engine_identity(const Scenario& s) {
   Fabric f = build_fabric(s);
-  const sim::FlowSim reference(f.topo(), {},
-                               sim::FlowSim::SolverEngine::kReference);
-  const sim::FlowSim indexed(f.topo(), {},
-                             sim::FlowSim::SolverEngine::kIndexed);
+  const sim::FlowSim fs(f.topo());
 
   const auto solve_and_compare =
       [&](const routing::RouteResult& route, std::uint64_t seed,
@@ -865,17 +862,29 @@ OracleResult oracle_flowsim_engine_identity(const Scenario& s) {
     }
     if (flows.empty()) return oracle_pass();  // nothing routable to solve
 
-    obs::FlowSolveTrace reference_trace;
-    obs::FlowSolveTrace indexed_trace;
-    const std::vector<double> reference_rates =
-        reference.fair_rates(flows, &reference_trace);
-    const std::vector<double> indexed_rates =
-        indexed.fair_rates(flows, &indexed_trace);
+    // Three-way: the selecting solve (fair_rates) against both named
+    // fillers, rates and solve records bit for bit.
+    const std::vector<char> active(flows.size(), 1);
+    sim::FlowSim::SolveScratch scratch;
+    std::vector<double> rescan_rates(flows.size(), 0.0);
+    std::vector<double> indexed_rates(flows.size(), 0.0);
+    obs::FlowSolveRecord rescan_record;
+    obs::FlowSolveRecord indexed_record;
+    fs.solve_rescan(flows, active, rescan_rates, scratch, &rescan_record);
+    fs.solve_indexed(flows, active, indexed_rates, scratch, &indexed_record);
+    obs::FlowSolveTrace trace;
+    const std::vector<double> rates = fs.fair_rates(flows, &trace);
     OracleResult check = check_flowsim_engines_identical(
-        reference_rates, indexed_rates, reference_trace.solves.at(0),
-        indexed_trace.solves.at(0));
-    if (check.pass)
-      check = check_flow_levels_monotone(indexed_trace.solves.at(0));
+        rescan_rates, indexed_rates, rescan_record, indexed_record);
+    if (!check.pass) {
+      check.detail = "indexed: " + check.detail;
+    } else {
+      check = check_flowsim_engines_identical(rescan_rates, rates,
+                                              rescan_record,
+                                              trace.solves.at(0));
+      if (!check.pass) check.detail = "selecting: " + check.detail;
+    }
+    if (check.pass) check = check_flow_levels_monotone(rescan_record);
     if (!check.pass) check.detail = label + ": " + check.detail;
     return check;
   };

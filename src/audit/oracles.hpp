@@ -28,9 +28,10 @@
 //      flow_invariants   max-min feasibility (sum rates <= capacity) and
 //                        bottleneck optimality for every unfrozen flow
 //      flowsim_engine_identity
-//                        kIndexed vs kReference max-min core: rates and
-//                        FlowSolveRecord bit for bit, levels monotone,
-//                        pristine and faulted fabrics alike
+//                        the selecting solve vs both named fillers
+//                        (rescan, indexed): rates and FlowSolveRecord bit
+//                        for bit, levels monotone, pristine and faulted
+//                        fabrics alike
 //
 // Oracles treat a *deterministic* engine refusal (e.g. DFSSSP exhausting
 // its VL budget on a hostile fabric) as a skip, not a failure; anything
@@ -125,14 +126,15 @@ struct TableExpectations {
     const sim::FlowSim& fs, std::span<const sim::Flow> flows,
     std::span<const double> rates);
 
-/// Indexed-vs-reference flow-solver identity: rates bitwise equal and
-/// every FlowSolveRecord field (active_flows, levels, freezes_per_level,
-/// saturated order) identical -- the standing SolverEngine contract.
+/// Flow-solver identity between two solves of one flow set (the rescan
+/// filler as reference vs the indexed filler or the selecting solve):
+/// rates bitwise equal and every FlowSolveRecord field (active_flows,
+/// levels, freezes_per_level, saturated order) identical.
 [[nodiscard]] OracleResult check_flowsim_engines_identical(
     std::span<const double> reference_rates,
-    std::span<const double> indexed_rates,
+    std::span<const double> other_rates,
     const obs::FlowSolveRecord& reference_record,
-    const obs::FlowSolveRecord& indexed_record);
+    const obs::FlowSolveRecord& other_record);
 
 /// Progressive-filling levels must be nondecreasing within one solve: the
 /// common fill level only ever rises, so a descending step means the

@@ -23,7 +23,7 @@
 #include "mpi/profile.hpp"
 #include "routing/engine.hpp"
 #include "sim/flowsim.hpp"
-#include "sim/network_model.hpp"
+#include "sim/net_message.hpp"
 #include "stats/rng.hpp"
 
 namespace hxsim::mpi {

@@ -1,6 +1,7 @@
 #include "sim/flowsim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -11,35 +12,57 @@ namespace hxsim::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
-FlowSim::FlowSim(const topo::Topology& topo, LinkModel link,
-                 SolverEngine engine)
+/// A capacity max-min can divide: NaN would poison every level it touches,
+/// +inf would never saturate, and <= 0 would freeze flows at zero rate.
+void require_capacity(double bytes_per_s, const char* what) {
+  if (!std::isfinite(bytes_per_s) || bytes_per_s <= 0.0)
+    throw std::invalid_argument(std::string(what) +
+                                ": capacity must be finite and positive");
+}
+}  // namespace
+
+FlowSim::FlowSim(const topo::Topology& topo, LinkModel link)
     : topo_(&topo),
       link_(link),
       capacity_(static_cast<std::size_t>(topo.num_channels()),
-                link.bandwidth),
-      engine_(engine) {}
+                link.bandwidth) {
+  require_capacity(link.bandwidth, "FlowSim: LinkModel::bandwidth");
+}
+
+void FlowSim::set_capacity(topo::ChannelId ch, double bytes_per_s) {
+  require_capacity(bytes_per_s, "FlowSim::set_capacity");
+  capacity_.at(static_cast<std::size_t>(ch)) = bytes_per_s;
+}
 
 void FlowSim::solve(std::span<const Flow> flows, std::span<const char> active,
                     std::span<double> rate, SolveScratch& scratch,
                     obs::FlowSolveRecord* record) const {
-  if (engine_ == SolverEngine::kReference)
-    solve_reference(flows, active, rate, scratch, record);
-  else
-    solve_indexed(flows, active, rate, scratch, record);
+  // The record may already hold earlier solves' entries (callers reuse
+  // it); remember where this solve's entries begin so an abandoned
+  // rescan's levels can be rolled back.
+  const std::size_t levels = record != nullptr ? record->levels.size() : 0;
+  const std::size_t saturated =
+      record != nullptr ? record->saturated.size() : 0;
+  if (fill_rescan(flows, active, rate, scratch, record, kRescanLevelBudget))
+    return;
+  // Budget exhausted: drop the partial record and re-solve from scratch on
+  // the indexed filler.  The partial rates need no reset -- the indexed
+  // filler writes every active slot -- and both fillers are bitwise
+  // identical, so the output does not show which one finished the solve.
+  if (record != nullptr) {
+    record->levels.resize(levels);
+    record->freezes_per_level.resize(levels);
+    record->saturated.resize(saturated);
+  }
+  fill_indexed(flows, active, rate, scratch, record);
 }
 
-void FlowSim::set_capacity(topo::ChannelId ch, double bytes_per_s) {
-  if (bytes_per_s <= 0.0)
-    throw std::invalid_argument("FlowSim::set_capacity: non-positive");
-  capacity_.at(static_cast<std::size_t>(ch)) = bytes_per_s;
-}
-
-void FlowSim::solve_reference(std::span<const Flow> flows,
-                              std::span<const char> active,
-                              std::span<double> rate, SolveScratch& scratch,
-                              obs::FlowSolveRecord* record) const {
+bool FlowSim::fill_rescan(std::span<const Flow> flows,
+                          std::span<const char> active,
+                          std::span<double> rate, SolveScratch& scratch,
+                          obs::FlowSolveRecord* record,
+                          std::int32_t level_budget) const {
   // Progressive filling: all unfrozen flows share one common rate level
   // that rises until some channel saturates; flows crossing a saturated
   // channel freeze at the level, and the level keeps rising for the rest.
@@ -106,7 +129,12 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
   worklist.clear();
   for (std::size_t c = 0; c < nused; ++c)
     worklist.push_back(static_cast<std::int32_t>(c));
-  while (remaining > 0) {
+  bool finished = true;
+  for (std::int32_t levels = 0; remaining > 0; ++levels) {
+    if (levels == level_budget) {
+      finished = false;
+      break;
+    }
     // The common level can rise to min over loaded channels of
     // (capacity - frozen_load) / unfrozen_count.
     double level = kInf;
@@ -214,8 +242,10 @@ void FlowSim::solve_reference(std::span<const Flow> flows,
         worklist.end());
   }
 
-  // Un-dirty the persistent channel map for the next solve on this scratch.
+  // Un-dirty the persistent channel map for the next solve on this scratch
+  // (an abandoned solve too: the indexed restart starts from a clean map).
   for (topo::ChannelId ch : used) local_of[static_cast<std::size_t>(ch)] = -1;
+  return finished;
 }
 
 namespace {
@@ -238,11 +268,11 @@ namespace {
 
 }  // namespace
 
-void FlowSim::solve_indexed(std::span<const Flow> flows,
-                            std::span<const char> active,
-                            std::span<double> rate, SolveScratch& scratch,
-                            obs::FlowSolveRecord* record) const {
-  // Same progressive filling as solve_reference, restructured so a round
+void FlowSim::fill_indexed(std::span<const Flow> flows,
+                           std::span<const char> active,
+                           std::span<double> rate, SolveScratch& scratch,
+                           obs::FlowSolveRecord* record) const {
+  // Same progressive filling as fill_rescan, restructured so a round
   // costs O(saturated-incident work) instead of O(flows x path):
   //
   //  - CSR incidence both ways (flow -> local channel in path order,
@@ -253,21 +283,21 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
   //    quotient change bumps the channel's version and pushes a fresh
   //    entry; entries whose tag version is stale are discarded at pop, so
   //    every live entry's key is the channel's *current* quotient;
-  //  - a round pops the heap minimum (the reference's level -- min over
+  //  - a round pops the heap minimum (the rescan's level -- min over
   //    live channels of the identical division), then keeps popping live
   //    entries while key <= level * (1 + 1e-12), which is exactly the set
-  //    the reference's saturation rescan marks;
+  //    the rescan's saturation pass marks;
   //  - only flows incident to those newly saturated channels are visited.
   //
-  // Bit-identity with the reference is by construction, not accident:
+  // Bit-identity with the rescan is by construction, not accident:
   // quotients are computed by the same expression on the same operands,
   // min over doubles is order-independent, the saturation test compares
   // the same two values, and the freeze loop visits hit flows in
   // ascending flow index (the candidate list is sorted) walking each
   // path in order -- so frozen_load accumulates through the identical
   // sequence of additions and every level/rate/record field matches the
-  // reference bit for bit.  tests/flowsim_golden_test.cpp and the
-  // flowsim_engine_identity fuzz oracle hold both engines to that.
+  // rescan bit for bit.  tests/flowsim_golden_test.cpp and the
+  // flowsim_engine_identity fuzz oracle hold both fillers to that.
   auto& local_of = scratch.local_of;
   auto& used = scratch.used;
   auto& frozen = scratch.frozen;
@@ -304,7 +334,7 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
   }
 
   // CSR incidence.  flow_ch carries local channel indices in path order
-  // (multiplicity preserved -- the reference counts a repeated channel
+  // (multiplicity preserved -- the rescan counts a repeated channel
   // once per occurrence); chan_flow is filled by an ascending flow scan,
   // so each channel's flow list comes out sorted.
   auto& flow_off = scratch.flow_off;
@@ -342,7 +372,7 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
   }
 
   // Seed the quotient heap: one live entry per used channel.  The key is
-  // the reference's exact level expression on the same operands.
+  // the rescan's exact level expression on the same operands.
   auto& version = scratch.version;
   auto& quotients = scratch.quotients;
   version.assign(nused, 0);
@@ -380,7 +410,7 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
     }
     if (level == kInf) {
       // Defensive: no loaded channel left although flows remain unfrozen
-      // (same branch, same ascending sweep as the reference).
+      // (same branch, same ascending sweep as the rescan).
       for (std::size_t f = 0; f < flows.size(); ++f) {
         if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
         frozen[f] = 1;
@@ -391,9 +421,9 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
     }
 
     // Saturated set: every live channel whose current quotient is within
-    // the reference's (1 + 1e-12) relative slack of the level.  Live keys
+    // the rescan's (1 + 1e-12) relative slack of the level.  Live keys
     // are current quotients, so popping while key <= threshold collects
-    // exactly the channels the reference's rescan marks.  A saturated
+    // exactly the channels the rescan's saturation pass marks.  A saturated
     // channel's unfrozen flows all freeze this round, so it leaves the
     // live set: retire its version here, no re-push later.
     const double threshold = level * (1.0 + 1e-12);
@@ -405,14 +435,14 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
       ++version[c];
       sat_chans.push_back(static_cast<std::int32_t>(c));
     }
-    // Ascending local index = the reference's worklist order (its
+    // Ascending local index = the rescan's worklist order (its
     // compaction preserves the initial ascending layout), so the record's
     // first-saturation stream matches.
     std::sort(sat_chans.begin(), sat_chans.end());
 
     // Flows incident to the newly saturated channels -- the only flows
     // this round can freeze.  Sorted ascending so freezes (and the
-    // frozen_load additions below) replay the reference's flow order.
+    // frozen_load additions below) replay the rescan's flow order.
     candidates.clear();
     for (const std::int32_t ci : sat_chans) {
       const auto c = static_cast<std::size_t>(ci);
@@ -448,7 +478,7 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
     }
     if (froze_count == 0) {
       // Numerical guard: freeze everything at the current level (the
-      // reference's ascending sweep; unreachable in practice -- the
+      // rescan's ascending sweep; unreachable in practice -- the
       // minimising channel always saturates).
       for (std::size_t f = 0; f < flows.size(); ++f) {
         if (!active[f] || frozen[f] || flows[f].channels.empty()) continue;
@@ -487,12 +517,8 @@ void FlowSim::solve_indexed(std::span<const Flow> flows,
   for (topo::ChannelId ch : used) local_of[static_cast<std::size_t>(ch)] = -1;
 }
 
-void FlowSim::validate(std::span<const Flow> flows) const {
-  validate_active(flows, {});
-}
-
-void FlowSim::validate_active(std::span<const Flow> flows,
-                              std::span<const char> active) const {
+void FlowSim::validate(std::span<const Flow> flows,
+                       std::span<const char> active) const {
   // Degraded-fabric guard: a flow routed before fault injection can carry a
   // stale path over a now-disabled cable.  Solving over it would silently
   // grant bandwidth a broken cable cannot carry, so reject the flow set the
@@ -515,10 +541,18 @@ void FlowSim::validate_active(std::span<const Flow> flows,
   }
 }
 
+void FlowSim::check_active(std::span<const Flow> flows,
+                           std::span<const char> active,
+                           std::span<const double> rate) const {
+  if (active.size() != flows.size() || rate.size() != flows.size())
+    throw std::invalid_argument("FlowSim::solve_active: size mismatch");
+  validate(flows, active);
+}
+
 std::vector<double> FlowSim::fair_rates(std::span<const Flow> flows,
                                         obs::FlowSolveTrace* trace) const {
   validate(flows);
-  // Solve on the engine-owned warm scratch (not a fresh one per call), so
+  // Solve on the FlowSim-owned warm scratch (not a fresh one per call), so
   // sweep loops that call fair_rates in a loop allocate only the returned
   // rate vector once the scratch is sized.
   std::vector<double> rate(flows.size(), 0.0);
@@ -532,10 +566,25 @@ void FlowSim::solve_active(std::span<const Flow> flows,
                            std::span<const char> active,
                            std::span<double> rate, SolveScratch& scratch,
                            obs::FlowSolveRecord* record) const {
-  if (active.size() != flows.size() || rate.size() != flows.size())
-    throw std::invalid_argument("FlowSim::solve_active: size mismatch");
-  validate_active(flows, active);
+  check_active(flows, active, rate);
   solve(flows, active, rate, scratch, record);
+}
+
+void FlowSim::solve_rescan(std::span<const Flow> flows,
+                           std::span<const char> active,
+                           std::span<double> rate, SolveScratch& scratch,
+                           obs::FlowSolveRecord* record) const {
+  check_active(flows, active, rate);
+  (void)fill_rescan(flows, active, rate, scratch, record,
+                    std::numeric_limits<std::int32_t>::max());
+}
+
+void FlowSim::solve_indexed(std::span<const Flow> flows,
+                            std::span<const char> active,
+                            std::span<double> rate, SolveScratch& scratch,
+                            obs::FlowSolveRecord* record) const {
+  check_active(flows, active, rate);
+  fill_indexed(flows, active, rate, scratch, record);
 }
 
 std::vector<std::vector<double>> FlowSim::solve_batch(
@@ -552,63 +601,9 @@ std::vector<std::vector<double>> FlowSim::solve_batch(
         auto& rate = rates[static_cast<std::size_t>(s)];
         rate.assign(flows.size(), 0.0);
         scratch.active.assign(flows.size(), 1);
-        solve(flows, scratch.active, rate, scratch);
+        solve(flows, scratch.active, rate, scratch, nullptr);
       });
   return rates;
-}
-
-std::vector<double> FlowSim::completion_times(
-    std::span<const Flow> flows, obs::FlowSolveTrace* trace) const {
-  validate(flows);
-  std::vector<double> done(flows.size(), 0.0);
-  std::vector<double> remaining_bytes(flows.size());
-  std::vector<char> active(flows.size(), 0);
-  std::size_t live = 0;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    remaining_bytes[f] = static_cast<double>(flows[f].bytes);
-    if (flows[f].channels.empty() || flows[f].bytes <= 0) {
-      // Self-sends (empty path, any byte count) and zero-byte flows move
-      // no data over the network: they complete at injection, t = 0 --
-      // the defined semantics matching PktSim's self-send handling.
-      done[f] = 0.0;
-      continue;
-    }
-    active[f] = 1;
-    ++live;
-  }
-
-  double now = 0.0;
-  std::vector<double> rate(flows.size(), 0.0);
-  while (live > 0) {
-    std::fill(rate.begin(), rate.end(), 0.0);
-    // Reallocation rounds reuse the engine-owned warm scratch: the flow
-    // set's incidence footprint is sized on round one, later rounds solve
-    // allocation-free.
-    solve(flows, active, rate, scratch_,
-          trace != nullptr ? &trace->solves.emplace_back() : nullptr);
-
-    // Advance to the earliest completion under the current allocation.
-    double dt = kInf;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (!active[f]) continue;
-      if (rate[f] <= 0.0) continue;  // fully starved (cannot happen normally)
-      dt = std::min(dt, remaining_bytes[f] / rate[f]);
-    }
-    if (dt == kInf)
-      throw std::runtime_error("FlowSim: starved flows cannot complete");
-
-    now += dt;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      if (!active[f]) continue;
-      remaining_bytes[f] -= rate[f] * dt;
-      if (remaining_bytes[f] <= 1e-6) {  // sub-byte residue: complete
-        active[f] = 0;
-        done[f] = now;
-        --live;
-      }
-    }
-  }
-  return done;
 }
 
 std::vector<double> FlowSim::channel_utilisation(

@@ -2,11 +2,10 @@
 //
 // Statically routed InfiniBand traffic under sustained load converges to a
 // per-link fair share; FlowSim computes the exact max-min allocation by
-// progressive filling and advances the flow set through completion events,
-// yielding per-flow completion times.  This is the engine behind the
-// bandwidth-dominated experiments (Figure 1 heatmaps, eBB, large-message
-// collectives): congestion arises purely from routed paths sharing
-// channels, which is the effect the paper studies.
+// progressive filling.  This is the engine behind the bandwidth-dominated
+// experiments (Figure 1 heatmaps, eBB, large-message collectives):
+// congestion arises purely from routed paths sharing channels, which is
+// the effect the paper studies.
 #pragma once
 
 #include <cstdint>
@@ -27,41 +26,40 @@ struct Flow {
   /// An empty path is a *self-send*: the flow consumes no network resource
   /// regardless of `bytes`.  Defined semantics (matching PktSim, which
   /// completes self-send messages at their inject_time): fair_rates()
-  /// reports +inf, completion_times() reports completion at injection,
-  /// i.e. t = 0.  Zero-byte flows likewise complete at t = 0.
+  /// reports +inf, so bytes / rate is 0 and the transfer completes at
+  /// injection.  Zero-byte flows likewise take 0 s at any finite rate.
   std::vector<topo::ChannelId> channels;
   std::int64_t bytes = 0;
 };
 
 class FlowSim {
  public:
-  /// Max-min core selection.  kIndexed (default) propagates saturation
-  /// through CSR flow<->channel incidence and a keyed lazy min-heap of
-  /// channel fill quotients, touching only flows incident to newly
-  /// saturated channels per filling round; kReference is the original
-  /// full-rescan progressive filler, kept verbatim as the always-verified
-  /// oracle.  The two are *bitwise* identical -- rates and FlowSolveRecord
-  /// output alike -- a contract pinned by tests/flowsim_golden_test.cpp,
-  /// the fuzz-audit flowsim_engine_identity oracle, and the
-  /// bench/flowsim_scaling check mode.
-  enum class SolverEngine : std::int8_t { kIndexed, kReference };
+  /// Filling levels the linear rescan may run before a solve abandons it
+  /// for the indexed filler.  The rescan costs O(flows x path) per level
+  /// with no setup; the indexed filler pays O(hops) CSR + heap setup and
+  /// then only what each level touches.  On the paper fabrics the two
+  /// break even at about this many levels (crossover measurements in
+  /// docs/ARCHITECTURE.md, "Flow-solver internals"), so the few-level sets
+  /// the figures produce stay on the rescan and the congested
+  /// hundreds-of-levels sets pay at most one aborted budget before the
+  /// indexed filler takes over.
+  static constexpr std::int32_t kRescanLevelBudget = 64;
 
-  explicit FlowSim(const topo::Topology& topo, LinkModel link = {},
-                   SolverEngine engine = SolverEngine::kIndexed);
+  /// Rejects (std::invalid_argument) a non-finite or non-positive
+  /// link.bandwidth.
+  explicit FlowSim(const topo::Topology& topo, LinkModel link = {});
 
-  /// Override one channel's capacity [bytes/s].
+  /// Override one channel's capacity [bytes/s]; rejects
+  /// (std::invalid_argument) non-finite or non-positive values.
   void set_capacity(topo::ChannelId ch, double bytes_per_s);
 
   [[nodiscard]] const LinkModel& link() const noexcept { return link_; }
 
-  [[nodiscard]] SolverEngine engine() const noexcept { return engine_; }
-  void set_engine(SolverEngine engine) noexcept { engine_ = engine; }
-
   /// Reusable progressive-filling state.  One per worker thread; passing
   /// the same scratch to repeated solves removes every per-call heap
-  /// allocation: a warm kIndexed solve through solve_active performs ZERO
-  /// heap allocations (enforced by tests/flowsim_alloc_test.cpp with a
-  /// counting global operator new).
+  /// allocation: a warm solve through solve_active performs ZERO heap
+  /// allocations on either side of kRescanLevelBudget (enforced by
+  /// tests/flowsim_alloc_test.cpp with a counting global operator new).
   struct SolveScratch {
     std::vector<std::int32_t> local_of;
     std::vector<topo::ChannelId> used;
@@ -71,7 +69,7 @@ class FlowSim {
     std::vector<char> saturated;
     /// Local indices of channels still carrying unfrozen flows; compacted
     /// after each filling level so late levels scan only live channels
-    /// (kReference only; kIndexed tracks liveness through the heap).
+    /// (rescan only; the indexed filler tracks liveness through the heap).
     std::vector<std::int32_t> worklist;
     /// First-saturation marks for trace recording (sized only when a solve
     /// actually traces, but persistent so traced solves stay
@@ -79,7 +77,7 @@ class FlowSim {
     std::vector<char> ever_saturated;
     std::vector<char> active;  // used by the batch driver
 
-    // --- kIndexed state (see "Flow-solver internals" in ARCHITECTURE.md).
+    // --- indexed-filler state (ARCHITECTURE.md, "Flow-solver internals").
     /// CSR flow -> local-channel incidence: flow f's channels (as local
     /// indices, in path order) live in flow_ch[flow_off[f]..flow_off[f+1]).
     std::vector<std::int32_t> flow_off;
@@ -110,11 +108,11 @@ class FlowSim {
   /// (levels, freezes, saturated channels); tracing never changes the
   /// rates.
   ///
-  /// Solves on the engine-owned warm scratch (like completion_times and
-  /// channel_utilisation), so sweep loops stop re-warming per call; these
-  /// convenience entry points therefore must not run concurrently on one
-  /// FlowSim -- concurrent callers go through solve_batch (per-worker
-  /// scratch) or solve_active (caller-owned scratch).
+  /// Solves on the FlowSim-owned warm scratch (like channel_utilisation),
+  /// so sweep loops stop re-warming per call; these convenience entry
+  /// points therefore must not run concurrently on one FlowSim --
+  /// concurrent callers go through solve_batch (per-worker scratch) or
+  /// solve_active (caller-owned scratch).
   [[nodiscard]] std::vector<double> fair_rates(
       std::span<const Flow> flows,
       obs::FlowSolveTrace* trace = nullptr) const;
@@ -143,13 +141,26 @@ class FlowSim {
                     std::span<double> rate, SolveScratch& scratch,
                     obs::FlowSolveRecord* record = nullptr) const;
 
-  /// Completion time of each flow when all start at t = 0 and rates are
-  /// re-allocated max-min fairly whenever a flow finishes.  Self-send and
-  /// zero-byte flows complete at injection (t = 0; see Flow::channels).
-  /// When `trace` is given, one record is appended per reallocation round.
-  [[nodiscard]] std::vector<double> completion_times(
-      std::span<const Flow> flows,
-      obs::FlowSolveTrace* trace = nullptr) const;
+  /// The two max-min fillers by name, with solve_active's contract.  Both
+  /// are bitwise identical -- rates and FlowSolveRecord alike -- so the
+  /// filler solve_active picks never shows in its output; oracles
+  /// (tests/flowsim_golden_test.cpp, the flowsim_engine_identity audit
+  /// oracle) and the flowsim_speedup experiment call them directly.
+  ///
+  /// solve_rescan: the seed progressive filler; every filling level
+  /// rescans all flows (and every hop of each) -- O(levels x flows x path),
+  /// cheap and branch-predictable while levels are few.
+  void solve_rescan(std::span<const Flow> flows, std::span<const char> active,
+                    std::span<double> rate, SolveScratch& scratch,
+                    obs::FlowSolveRecord* record = nullptr) const;
+  /// solve_indexed: saturation propagated through CSR incidence, fill
+  /// quotients in a keyed lazy min-heap; a level touches only flows
+  /// incident to newly saturated channels.  See the .cpp for the FP-order
+  /// argument behind the identity.
+  void solve_indexed(std::span<const Flow> flows,
+                     std::span<const char> active, std::span<double> rate,
+                     SolveScratch& scratch,
+                     obs::FlowSolveRecord* record = nullptr) const;
 
   /// Utilisation [0, 1] per channel under the steady-state allocation
   /// (diagnostics; same flow-set semantics as fair_rates).
@@ -167,43 +178,39 @@ class FlowSim {
   /// Degraded-fabric guard shared by the public entry points: throws
   /// std::invalid_argument (naming the flow index) when a flow crosses a
   /// disabled or unknown channel -- a stale path routed before fault
-  /// injection must be re-routed, not solved.
-  void validate(std::span<const Flow> flows) const;
-  /// validate() over the active subset only (inactive slots may carry
+  /// injection must be re-routed, not solved.  A non-empty `active`
+  /// restricts the check to the active subset (inactive slots may carry
   /// stale paths by design; see solve_active).
-  void validate_active(std::span<const Flow> flows,
-                       std::span<const char> active) const;
+  void validate(std::span<const Flow> flows,
+                std::span<const char> active = {}) const;
+  /// The solve_active-family argument check: span sizes, then validate().
+  void check_active(std::span<const Flow> flows, std::span<const char> active,
+                    std::span<const double> rate) const;
 
-  /// Max-min over a subset of flows (active[i] selects), writing rates.
-  /// `record`, when non-null, captures the solve's convergence trace.
-  /// Dispatches on engine(); both paths produce bit-identical output.
+  /// Max-min over a subset of flows (active[i] selects), writing rates:
+  /// the rescan under kRescanLevelBudget, restarted on the indexed filler
+  /// when the budget runs out.  `record`, when non-null, captures the
+  /// solve's convergence trace.
   void solve(std::span<const Flow> flows, std::span<const char> active,
              std::span<double> rate, SolveScratch& scratch,
-             obs::FlowSolveRecord* record = nullptr) const;
+             obs::FlowSolveRecord* record) const;
 
-  /// The seed progressive filler: every filling round rescans all flows
-  /// (and every hop of each flow) -- O(rounds x flows x path).  Oracle.
-  void solve_reference(std::span<const Flow> flows,
-                       std::span<const char> active, std::span<double> rate,
-                       SolveScratch& scratch,
-                       obs::FlowSolveRecord* record) const;
-
-  /// The indexed engine: saturation propagated through CSR incidence, fill
-  /// quotients in a keyed lazy min-heap, per round touching only flows
-  /// incident to newly saturated channels.  Bit-identical to the
-  /// reference; see the .cpp for the FP-order argument.
-  void solve_indexed(std::span<const Flow> flows,
-                     std::span<const char> active, std::span<double> rate,
-                     SolveScratch& scratch,
-                     obs::FlowSolveRecord* record) const;
+  /// The rescan filler, abandoned (returning false, scratch left reusable)
+  /// before running a filling level past `level_budget`.
+  bool fill_rescan(std::span<const Flow> flows, std::span<const char> active,
+                   std::span<double> rate, SolveScratch& scratch,
+                   obs::FlowSolveRecord* record,
+                   std::int32_t level_budget) const;
+  void fill_indexed(std::span<const Flow> flows, std::span<const char> active,
+                    std::span<double> rate, SolveScratch& scratch,
+                    obs::FlowSolveRecord* record) const;
 
   const topo::Topology* topo_;
   LinkModel link_;
   std::vector<double> capacity_;
-  SolverEngine engine_ = SolverEngine::kIndexed;
   /// Warm scratch backing the serial convenience entry points
-  /// (fair_rates / completion_times / channel_utilisation); persists
-  /// across calls so sweep loops stop re-warming every iteration.
+  /// (fair_rates / channel_utilisation); persists across calls so sweep
+  /// loops stop re-warming every iteration.
   mutable SolveScratch scratch_;
 };
 

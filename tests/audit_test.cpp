@@ -501,10 +501,7 @@ TEST(OracleChecks, FlowInvariantsDetectCorruptedRates) {
 
 TEST(OracleChecks, FlowEngineIdentityDetectsCorruption) {
   SmallFabric f;
-  const sim::FlowSim reference(f.hx.topo(), {},
-                               sim::FlowSim::SolverEngine::kReference);
-  const sim::FlowSim indexed(f.hx.topo(), {},
-                             sim::FlowSim::SolverEngine::kIndexed);
+  const sim::FlowSim fs(f.hx.topo());
   std::vector<sim::Flow> flows(3);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     auto path = f.route.tables.path(
@@ -514,16 +511,22 @@ TEST(OracleChecks, FlowEngineIdentityDetectsCorruption) {
     flows[i].channels = std::move(path.channels);
     flows[i].bytes = 1 << 20;
   }
-  obs::FlowSolveTrace ref_trace;
-  obs::FlowSolveTrace idx_trace;
-  const std::vector<double> ref_rates = reference.fair_rates(flows, &ref_trace);
-  const std::vector<double> idx_rates = indexed.fair_rates(flows, &idx_trace);
-  ASSERT_EQ(ref_trace.solves.size(), 1u);
-  ASSERT_EQ(idx_trace.solves.size(), 1u);
-  const obs::FlowSolveRecord& ref_rec = ref_trace.solves[0];
-  const obs::FlowSolveRecord& idx_rec = idx_trace.solves[0];
+  const std::vector<char> active(flows.size(), 1);
+  sim::FlowSim::SolveScratch scratch;
+  std::vector<double> ref_rates(flows.size());
+  std::vector<double> idx_rates(flows.size());
+  obs::FlowSolveRecord ref_rec;
+  obs::FlowSolveRecord idx_rec;
+  fs.solve_rescan(flows, active, ref_rates, scratch, &ref_rec);
+  fs.solve_indexed(flows, active, idx_rates, scratch, &idx_rec);
   EXPECT_TRUE(audit::check_flowsim_engines_identical(ref_rates, idx_rates,
                                                      ref_rec, idx_rec)
+                  .pass);
+  obs::FlowSolveTrace trace;
+  const std::vector<double> rates = fs.fair_rates(flows, &trace);
+  ASSERT_EQ(trace.solves.size(), 1u);
+  EXPECT_TRUE(audit::check_flowsim_engines_identical(ref_rates, rates,
+                                                     ref_rec, trace.solves[0])
                   .pass);
 
   // A single-ulp rate nudge must trip the bitwise comparison.

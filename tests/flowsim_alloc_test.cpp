@@ -1,12 +1,15 @@
-// Steady-state allocation audit of the indexed max-min flow solver.
+// Steady-state allocation audit of the max-min flow solver.
 //
-// The kIndexed contract: after a first (cold) solve sizes the
-// SolveScratch -- CSR incidence arrays, version/dirty marks, the quotient
-// heap -- a warm solve through solve_active performs ZERO heap
-// allocations, traced or untraced alike (the record's vectors are
-// caller-reused).  Asserted with a counting global operator new; also
-// pinned: the warm count stays zero when the flow set quadruples, i.e.
-// nothing allocates per flow, per channel or per filling round once warm.
+// The contract: after a first (cold) solve sizes the SolveScratch --
+// rescan worklist, CSR incidence arrays, version/dirty marks, the
+// quotient heap -- a warm solve performs ZERO heap allocations, traced or
+// untraced alike (the record's vectors are caller-reused).  That holds for
+// both named fillers and for solve_active on either side of
+// FlowSim::kRescanLevelBudget, including the restart that abandons the
+// rescan at the budget.  Asserted with a counting global operator new;
+// also pinned: the warm count stays zero when the flow set quadruples,
+// i.e. nothing allocates per flow, per channel or per filling level once
+// warm.
 //
 // This test lives in its own binary because the operator new/delete
 // replacement is global to the process.
@@ -109,7 +112,7 @@ struct Chain {
 
 TEST(FlowSimAllocations, WarmIndexedSolveActiveIsAllocationFree) {
   const Chain chain(9, 4);
-  const FlowSim sim(chain.topo, {}, FlowSim::SolverEngine::kIndexed);
+  const FlowSim sim(chain.topo);
 
   std::vector<Flow> small_flows;
   chain.add_shift(small_flows, 1);
@@ -131,26 +134,38 @@ TEST(FlowSimAllocations, WarmIndexedSolveActiveIsAllocationFree) {
     record.saturated.clear();
   };
 
-  // Cold solves size the scratch (and the record) for the largest set.
-  sim.solve_active(large_flows, large_active, large_rates, scratch, &record);
-  reset();
-  sim.solve_active(small_flows, small_active, small_rates, scratch, &record);
+  const auto solves = {&FlowSim::solve_indexed, &FlowSim::solve_rescan,
+                       &FlowSim::solve_active};
+  // Cold solves size the scratch (and the record): every solve at both
+  // sizes, since per-level work lists grow with each set's own dynamics.
+  for (const auto solve : solves) {
+    for (const bool large : {true, false}) {
+      reset();
+      if (large)
+        (sim.*solve)(large_flows, large_active, large_rates, scratch, &record);
+      else
+        (sim.*solve)(small_flows, small_active, small_rates, scratch, &record);
+    }
+  }
 
-  // Warm solves: ZERO allocations, traced and untraced, at both sizes.
-  const long long warm_small = allocs_during([&] {
-    reset();
-    sim.solve_active(small_flows, small_active, small_rates, scratch, &record);
-  });
-  const long long warm_large = allocs_during([&] {
-    reset();
-    sim.solve_active(large_flows, large_active, large_rates, scratch, &record);
-  });
-  const long long warm_untraced = allocs_during([&] {
-    sim.solve_active(large_flows, large_active, large_rates, scratch);
-  });
-  EXPECT_EQ(warm_small, 0);
-  EXPECT_EQ(warm_large, 0);
-  EXPECT_EQ(warm_untraced, 0);
+  // Warm solves: ZERO allocations, traced and untraced, at both sizes, on
+  // both named fillers and the selecting solve.
+  for (const auto solve : solves) {
+    const long long warm_small = allocs_during([&] {
+      reset();
+      (sim.*solve)(small_flows, small_active, small_rates, scratch, &record);
+    });
+    const long long warm_large = allocs_during([&] {
+      reset();
+      (sim.*solve)(large_flows, large_active, large_rates, scratch, &record);
+    });
+    const long long warm_untraced = allocs_during([&] {
+      (sim.*solve)(large_flows, large_active, large_rates, scratch, nullptr);
+    });
+    EXPECT_EQ(warm_small, 0);
+    EXPECT_EQ(warm_large, 0);
+    EXPECT_EQ(warm_untraced, 0);
+  }
 
   // The solve did real work: multiple filling levels, channels saturated.
   EXPECT_GT(record.levels.size(), 1u);
@@ -160,7 +175,7 @@ TEST(FlowSimAllocations, WarmIndexedSolveActiveIsAllocationFree) {
 
 TEST(FlowSimAllocations, DeactivationStagesStayAllocationFreeWhenWarm) {
   const Chain chain(6, 4);
-  const FlowSim sim(chain.topo, {}, FlowSim::SolverEngine::kIndexed);
+  const FlowSim sim(chain.topo);
 
   std::vector<Flow> flows;
   for (const std::int32_t hops : {1, 2, 3}) chain.add_shift(flows, hops);
@@ -175,6 +190,83 @@ TEST(FlowSimAllocations, DeactivationStagesStayAllocationFreeWhenWarm) {
         [&] { sim.solve_active(flows, active, rates, scratch); });
     EXPECT_EQ(warm, 0) << "stage " << stage;
   }
+}
+
+/// Two switches, `levels` terminals each; flow i runs from terminal i on
+/// one switch to terminal i on the other and is capped by its own uplink
+/// at a distinct capacity, so the solve runs exactly `levels` levels.
+struct Staircase {
+  Topology topo{"staircase"};
+  std::vector<Flow> flows;
+
+  explicit Staircase(std::int32_t levels) {
+    const SwitchId a = topo.add_switch();
+    const SwitchId b = topo.add_switch();
+    const ChannelId ab = topo.connect(a, b).first;
+    for (std::int32_t i = 0; i < 2 * levels; ++i)
+      topo.add_terminal(i < levels ? a : b);
+    for (NodeId i = 0; i < levels; ++i)
+      flows.push_back(Flow{{topo.terminal_up(i), ab,
+                            topo.terminal_down(levels + i)},
+                           1 << 20});
+  }
+
+  void cap_uplinks(FlowSim& sim) const {
+    for (NodeId i = 0; i < static_cast<NodeId>(flows.size()); ++i)
+      sim.set_capacity(topo.terminal_up(i), 1e3 * (1.0 + i));
+  }
+};
+
+TEST(FlowSimAllocations, WarmSolveActiveIsAllocationFreeAcrossTheLevelBudget) {
+  const std::int32_t budget = FlowSim::kRescanLevelBudget;
+  const Staircase under(budget);
+  const Staircase over(3 * budget);  // restarts on the indexed filler
+  FlowSim under_sim(under.topo);
+  FlowSim over_sim(over.topo);
+  under.cap_uplinks(under_sim);
+  over.cap_uplinks(over_sim);
+
+  const std::vector<char> under_active(under.flows.size(), 1);
+  const std::vector<char> over_active(over.flows.size(), 1);
+  std::vector<double> under_rates(under.flows.size());
+  std::vector<double> over_rates(over.flows.size());
+  FlowSim::SolveScratch scratch;  // shared: the restart reuses it too
+  obs::FlowSolveRecord record;
+  const auto reset = [&record] {
+    record.levels.clear();
+    record.freezes_per_level.clear();
+    record.saturated.clear();
+  };
+
+  // Cold: the over-budget solve sizes both fillers' state and the record.
+  over_sim.solve_active(over.flows, over_active, over_rates, scratch, &record);
+  ASSERT_EQ(record.num_levels(), 3 * budget);
+  reset();
+  under_sim.solve_active(under.flows, under_active, under_rates, scratch,
+                         &record);
+  ASSERT_EQ(record.num_levels(), budget);
+
+  for (int round = 0; round < 3; ++round) {
+    const long long warm_under = allocs_during([&] {
+      reset();
+      under_sim.solve_active(under.flows, under_active, under_rates, scratch,
+                             &record);
+    });
+    const long long warm_over = allocs_during([&] {
+      reset();
+      over_sim.solve_active(over.flows, over_active, over_rates, scratch,
+                            &record);
+    });
+    const long long warm_untraced = allocs_during([&] {
+      over_sim.solve_active(over.flows, over_active, over_rates, scratch);
+      under_sim.solve_active(under.flows, under_active, under_rates, scratch);
+    });
+    EXPECT_EQ(warm_under, 0) << "round " << round;
+    EXPECT_EQ(warm_over, 0) << "round " << round;
+    EXPECT_EQ(warm_untraced, 0) << "round " << round;
+  }
+  EXPECT_EQ(record.num_levels(), 3 * budget);
+  for (const double r : over_rates) EXPECT_GT(r, 0.0);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
-// Golden bit-identity contract of the FlowSim solver engines.
+// Golden bit-identity contract of the FlowSim max-min fillers.
 //
-// kIndexed must reproduce kReference *bit for bit* -- rates and every
-// FlowSolveRecord field -- on both paper fabrics (small HyperX under
-// DFSSSP, small fat-tree under ftree), three traffic shapes (uniform
-// random permutations, mpiGraph-style shifts, eBB-style bisections), at 1
-// and 4 solver threads, through the cold fair_rates path, the warm
-// solve_active fault-stage path, and the completion_times reallocation
-// loop.  The saturation-epsilon regression scenarios from sim_test.cpp
-// are re-run here on kIndexed and compared bitwise against kReference:
-// the 1e-12 saturation slack, the max(0, .) fully-frozen-load clamp and
-// the denormal-level rounds must take the *same* branch in both engines.
+// solve_indexed must reproduce solve_rescan *bit for bit* -- rates and
+// every FlowSolveRecord field -- and so must the selecting solve behind
+// fair_rates / solve_active / solve_batch, which runs the rescan under
+// FlowSim::kRescanLevelBudget and restarts on the indexed filler past it.
+// Covered: both paper fabrics (small HyperX under DFSSSP, small fat-tree
+// under ftree), three traffic shapes (uniform random permutations,
+// mpiGraph-style shifts, eBB-style bisections), 1 and 4 solver threads,
+// the warm solve_active fault-stage path, and sets below, just over and
+// far over the level budget, traced and untraced.  The saturation-epsilon
+// regression scenarios from sim_test.cpp are re-run here on all three
+// solves: the 1e-12 saturation slack, the max(0, .) fully-frozen-load
+// clamp and the denormal-level rounds must take the *same* branch in both
+// fillers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -36,35 +41,35 @@ using topo::Topology;
 // --- bitwise comparison helpers -----------------------------------------------
 
 ::testing::AssertionResult bits_equal(std::span<const double> reference,
-                                      std::span<const double> indexed) {
-  if (reference.size() != indexed.size())
+                                      std::span<const double> other) {
+  if (reference.size() != other.size())
     return ::testing::AssertionFailure()
-           << "size " << reference.size() << " vs " << indexed.size();
+           << "size " << reference.size() << " vs " << other.size();
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (std::memcmp(&reference[i], &indexed[i], sizeof(double)) != 0) {
+    if (std::memcmp(&reference[i], &other[i], sizeof(double)) != 0) {
       return ::testing::AssertionFailure()
              << "element " << i << " diverges: reference "
-             << ::testing::PrintToString(reference[i]) << " vs indexed "
-             << ::testing::PrintToString(indexed[i]);
+             << ::testing::PrintToString(reference[i]) << " vs "
+             << ::testing::PrintToString(other[i]);
     }
   }
   return ::testing::AssertionSuccess();
 }
 
 ::testing::AssertionResult records_equal(const obs::FlowSolveRecord& reference,
-                                         const obs::FlowSolveRecord& indexed) {
-  if (reference.active_flows != indexed.active_flows)
+                                         const obs::FlowSolveRecord& other) {
+  if (reference.active_flows != other.active_flows)
     return ::testing::AssertionFailure()
            << "active_flows " << reference.active_flows << " vs "
-           << indexed.active_flows;
-  if (auto levels = bits_equal(reference.levels, indexed.levels); !levels)
+           << other.active_flows;
+  if (auto levels = bits_equal(reference.levels, other.levels); !levels)
     return ::testing::AssertionFailure() << "levels: " << levels.message();
-  if (reference.freezes_per_level != indexed.freezes_per_level)
+  if (reference.freezes_per_level != other.freezes_per_level)
     return ::testing::AssertionFailure() << "freezes_per_level differ";
-  if (reference.saturated != indexed.saturated)
+  if (reference.saturated != other.saturated)
     return ::testing::AssertionFailure() << "saturated set/order differs";
-  for (std::size_t i = 1; i < indexed.levels.size(); ++i) {
-    if (indexed.levels[i] < indexed.levels[i - 1])
+  for (std::size_t i = 1; i < other.levels.size(); ++i) {
+    if (other.levels[i] < other.levels[i - 1])
       return ::testing::AssertionFailure()
              << "levels not monotone at step " << i;
   }
@@ -118,7 +123,7 @@ Flow routed_flow(const GoldenFabric& f, NodeId src, NodeId dst) {
 }
 
 /// One uniform-random permutation (fixed points become self-sends, which
-/// exercises the +inf branch of both engines).
+/// exercises the +inf branch of both fillers).
 std::vector<Flow> uniform_set(const GoldenFabric& f, stats::Rng& rng) {
   const auto n = f.topo->num_terminals();
   const std::vector<std::int32_t> perm = rng.permutation(n);
@@ -170,62 +175,82 @@ std::vector<std::vector<Flow>> traffic_sets(const GoldenFabric& f) {
   return sets;
 }
 
+// --- the three solves ---------------------------------------------------------
+
+/// Rates and record of one solve.
+struct Solved {
+  std::vector<double> rates;
+  obs::FlowSolveRecord record;
+};
+
+/// Solves `flows` (all active) with solve_rescan, solve_indexed and the
+/// selecting solve_active, traced, and asserts the three agree bit for
+/// bit.  Returns the selecting solve's output.
+Solved solve_three_ways(const FlowSim& sim, const std::vector<Flow>& flows,
+                        const std::string& what) {
+  const std::vector<char> active(flows.size(), 1);
+  FlowSim::SolveScratch scratch;
+  Solved rescan{std::vector<double>(flows.size(), -1.0), {}};
+  Solved indexed{std::vector<double>(flows.size(), -1.0), {}};
+  Solved selecting{std::vector<double>(flows.size(), -1.0), {}};
+  sim.solve_rescan(flows, active, rescan.rates, scratch, &rescan.record);
+  sim.solve_indexed(flows, active, indexed.rates, scratch, &indexed.record);
+  sim.solve_active(flows, active, selecting.rates, scratch,
+                   &selecting.record);
+  EXPECT_TRUE(bits_equal(rescan.rates, indexed.rates)) << what;
+  EXPECT_TRUE(records_equal(rescan.record, indexed.record)) << what;
+  EXPECT_TRUE(bits_equal(rescan.rates, selecting.rates)) << what;
+  EXPECT_TRUE(records_equal(rescan.record, selecting.record)) << what;
+  return selecting;
+}
+
 // --- the golden contract ------------------------------------------------------
 
 TEST(FlowSimGolden, EnginesBitIdenticalAcrossFabricsTrafficAndThreads) {
   for (const GoldenFabric& f : paper_fabrics()) {
-    const FlowSim reference(*f.topo, {}, FlowSim::SolverEngine::kReference);
-    const FlowSim indexed(*f.topo, {}, FlowSim::SolverEngine::kIndexed);
-    ASSERT_EQ(reference.engine(), FlowSim::SolverEngine::kReference);
-    ASSERT_EQ(indexed.engine(), FlowSim::SolverEngine::kIndexed);
-
+    const FlowSim sim(*f.topo);
     const std::vector<std::vector<Flow>> sets = traffic_sets(f);
 
-    // Per-set serial path with solver traces: rates and records.
+    // Per-set: the three solves on one scratch, then the serial traced
+    // fair_rates entry point against them.
+    std::vector<std::vector<double>> rates;
     for (std::size_t i = 0; i < sets.size(); ++i) {
-      obs::FlowSolveTrace ref_trace;
-      obs::FlowSolveTrace idx_trace;
-      const auto ref_rates = reference.fair_rates(sets[i], &ref_trace);
-      const auto idx_rates = indexed.fair_rates(sets[i], &idx_trace);
-      EXPECT_TRUE(bits_equal(ref_rates, idx_rates))
-          << f.name << " set " << i;
-      ASSERT_EQ(ref_trace.solves.size(), 1u);
-      ASSERT_EQ(idx_trace.solves.size(), 1u);
-      EXPECT_TRUE(records_equal(ref_trace.solves[0], idx_trace.solves[0]))
-          << f.name << " set " << i;
+      const std::string what = f.name + " set " + std::to_string(i);
+      const Solved solved = solve_three_ways(sim, sets[i], what);
+      obs::FlowSolveTrace trace;
+      EXPECT_TRUE(bits_equal(solved.rates, sim.fair_rates(sets[i], &trace)))
+          << what;
+      ASSERT_EQ(trace.solves.size(), 1u);
+      EXPECT_TRUE(records_equal(solved.record, trace.solves[0])) << what;
+      rates.push_back(solved.rates);
     }
 
-    // Batched path at 1 and 4 threads: all four runs bitwise identical.
-    const auto ref_batch1 = reference.solve_batch(sets, 1);
+    // Batched path at 1 and 4 threads: bitwise equal to the per-set solves.
     for (const std::int32_t threads : {1, 4}) {
-      const auto ref_batch = reference.solve_batch(sets, threads);
-      const auto idx_batch = indexed.solve_batch(sets, threads);
-      ASSERT_EQ(ref_batch.size(), sets.size());
-      ASSERT_EQ(idx_batch.size(), sets.size());
-      for (std::size_t i = 0; i < sets.size(); ++i) {
-        EXPECT_TRUE(bits_equal(ref_batch1[i], ref_batch[i]))
-            << f.name << " set " << i << " threads " << threads
-            << " (reference thread-variance)";
-        EXPECT_TRUE(bits_equal(ref_batch1[i], idx_batch[i]))
+      const auto batch = sim.solve_batch(sets, threads);
+      ASSERT_EQ(batch.size(), sets.size());
+      for (std::size_t i = 0; i < sets.size(); ++i)
+        EXPECT_TRUE(bits_equal(rates[i], batch[i]))
             << f.name << " set " << i << " threads " << threads;
-      }
     }
   }
 }
 
 TEST(FlowSimGolden, SolveActiveWarmStartStagesBitIdentical) {
   for (const GoldenFabric& f : paper_fabrics()) {
-    const FlowSim reference(*f.topo, {}, FlowSim::SolverEngine::kReference);
-    const FlowSim indexed(*f.topo, {}, FlowSim::SolverEngine::kIndexed);
+    const FlowSim sim(*f.topo);
 
     stats::Rng rng(7);
     const std::vector<Flow> flows = uniform_set(f, rng);
     const auto n = flows.size();
     std::vector<char> active(n, 1);
-    std::vector<double> ref_rates(n, -1.0);
-    std::vector<double> idx_rates(n, -1.0);
-    FlowSim::SolveScratch ref_scratch;  // caller-owned, warm across stages
-    FlowSim::SolveScratch idx_scratch;
+    std::vector<double> rescan_rates(n, -1.0);
+    std::vector<double> indexed_rates(n, -1.0);
+    std::vector<double> rates(n, -1.0);
+    // Caller-owned, warm across stages.
+    FlowSim::SolveScratch rescan_scratch;
+    FlowSim::SolveScratch indexed_scratch;
+    FlowSim::SolveScratch scratch;
 
     // Stage 0: everything active; later stages deactivate survivors the
     // way a fault campaign would, re-solving in place on warm scratch.
@@ -233,45 +258,131 @@ TEST(FlowSimGolden, SolveActiveWarmStartStagesBitIdentical) {
       if (stage > 0) {
         for (std::size_t i = stage - 1; i < n; i += 3) active[i] = 0;
       }
-      obs::FlowSolveRecord ref_record;
-      obs::FlowSolveRecord idx_record;
-      reference.solve_active(flows, active, ref_rates, ref_scratch,
-                             &ref_record);
-      indexed.solve_active(flows, active, idx_rates, idx_scratch, &idx_record);
-      EXPECT_TRUE(bits_equal(ref_rates, idx_rates))
+      obs::FlowSolveRecord rescan_record;
+      obs::FlowSolveRecord indexed_record;
+      obs::FlowSolveRecord record;
+      sim.solve_rescan(flows, active, rescan_rates, rescan_scratch,
+                       &rescan_record);
+      sim.solve_indexed(flows, active, indexed_rates, indexed_scratch,
+                        &indexed_record);
+      sim.solve_active(flows, active, rates, scratch, &record);
+      EXPECT_TRUE(bits_equal(rescan_rates, indexed_rates))
           << f.name << " stage " << stage;
-      EXPECT_TRUE(records_equal(ref_record, idx_record))
+      EXPECT_TRUE(records_equal(rescan_record, indexed_record))
+          << f.name << " stage " << stage;
+      EXPECT_TRUE(bits_equal(rescan_rates, rates))
+          << f.name << " stage " << stage;
+      EXPECT_TRUE(records_equal(rescan_record, record))
           << f.name << " stage " << stage;
     }
   }
 }
 
-TEST(FlowSimGolden, CompletionTimesEngineParity) {
+// --- the level budget ---------------------------------------------------------
+
+/// `levels` flows from switch a to switch b, each bottlenecked on its own
+/// terminal uplink at a distinct capacity, so the filling runs exactly
+/// `levels` levels with one freeze each.  All flows share the cable, sized
+/// to the sum of the uplinks so it saturates only at the top level.
+struct Staircase {
+  Topology topo{"staircase"};
+  ChannelId ab = topo::kInvalidChannel;
+  std::vector<Flow> flows;
+
+  explicit Staircase(std::int32_t levels) {
+    const SwitchId a = topo.add_switch();
+    const SwitchId b = topo.add_switch();
+    ab = topo.connect(a, b).first;
+    for (std::int32_t i = 0; i < levels; ++i) topo.add_terminal(a);
+    for (std::int32_t i = 0; i < levels; ++i) topo.add_terminal(b);
+    for (NodeId i = 0; i < levels; ++i)
+      flows.push_back(Flow{{topo.terminal_up(i), ab,
+                            topo.terminal_down(levels + i)},
+                           1 << 20});
+  }
+
+  FlowSim sim() const {
+    FlowSim s(topo);
+    const auto n = static_cast<std::int32_t>(flows.size());
+    for (NodeId i = 0; i < n; ++i)
+      s.set_capacity(topo.terminal_up(i), 1e3 * (1.0 + i));
+    s.set_capacity(ab, 1e3 * n * (n + 1) / 2.0);
+    return s;
+  }
+};
+
+TEST(FlowSimGolden, SelectionMatchesBothFillersAroundTheLevelBudget) {
+  const std::int32_t budget = FlowSim::kRescanLevelBudget;
+  for (const std::int32_t levels :
+       {budget / 2, budget, budget + 1, budget + 2, 4 * budget}) {
+    const Staircase stairs(levels);
+    const FlowSim sim = stairs.sim();
+    const std::string what = std::to_string(levels) + " levels";
+    const Solved solved = solve_three_ways(sim, stairs.flows, what);
+    // The traced selecting solve holds exactly this solve's levels: none
+    // left over from a rescan abandoned at the budget.
+    EXPECT_EQ(solved.record.num_levels(), levels) << what;
+    EXPECT_EQ(static_cast<std::int32_t>(
+                  solved.record.freezes_per_level.size()),
+              levels)
+        << what;
+
+    // Untraced, and on a record that already holds an earlier solve: the
+    // rollback keeps the earlier entries and drops only the abandoned ones.
+    const std::vector<char> active(stairs.flows.size(), 1);
+    FlowSim::SolveScratch scratch;
+    std::vector<double> untraced(stairs.flows.size(), -1.0);
+    sim.solve_active(stairs.flows, active, untraced, scratch);
+    EXPECT_TRUE(bits_equal(solved.rates, untraced)) << what;
+
+    obs::FlowSolveRecord appended = solved.record;
+    std::vector<double> again(stairs.flows.size(), -1.0);
+    sim.solve_active(stairs.flows, active, again, scratch, &appended);
+    EXPECT_TRUE(bits_equal(solved.rates, again)) << what;
+    ASSERT_EQ(appended.num_levels(), 2 * levels) << what;
+    obs::FlowSolveRecord second;
+    second.active_flows = appended.active_flows;
+    second.levels.assign(appended.levels.begin() + levels,
+                         appended.levels.end());
+    second.freezes_per_level.assign(
+        appended.freezes_per_level.begin() + levels,
+        appended.freezes_per_level.end());
+    second.saturated.assign(
+        appended.saturated.begin() +
+            static_cast<std::ptrdiff_t>(solved.record.saturated.size()),
+        appended.saturated.end());
+    EXPECT_TRUE(records_equal(solved.record, second)) << what;
+  }
+}
+
+TEST(FlowSimGolden, SelectionMatchesBothFillersOnDegradedPaperFabrics) {
+  // Overlaid permutations on the paper fabrics with every channel at its
+  // own capacity between 0.1x and 1.0x line rate (as on a fabric of
+  // mixed-speed or degraded links): routed multi-hop sharing with many
+  // distinct bottlenecks, so the sets land on both sides of the budget.
+  // The three solves must agree on every one.
+  std::int32_t max_levels = 0;
   for (const GoldenFabric& f : paper_fabrics()) {
-    const FlowSim reference(*f.topo, {}, FlowSim::SolverEngine::kReference);
-    const FlowSim indexed(*f.topo, {}, FlowSim::SolverEngine::kIndexed);
-
-    stats::Rng rng(11);
-    std::vector<Flow> flows = ebb_set(f, rng);
-    // Unequal sizes force multiple reallocation rounds.
-    for (std::size_t i = 0; i < flows.size(); ++i)
-      flows[i].bytes = static_cast<std::int64_t>(1 + i) << 12;
-
-    obs::FlowSolveTrace ref_trace;
-    obs::FlowSolveTrace idx_trace;
-    const auto ref_times = reference.completion_times(flows, &ref_trace);
-    const auto idx_times = indexed.completion_times(flows, &idx_trace);
-    EXPECT_TRUE(bits_equal(ref_times, idx_times)) << f.name;
-    ASSERT_EQ(ref_trace.solves.size(), idx_trace.solves.size()) << f.name;
-    EXPECT_GT(ref_trace.solves.size(), 1u) << f.name;
-    for (std::size_t i = 0; i < ref_trace.solves.size(); ++i) {
-      EXPECT_TRUE(records_equal(ref_trace.solves[i], idx_trace.solves[i]))
-          << f.name << " round " << i;
+    FlowSim sim(*f.topo);
+    for (ChannelId ch = 0; ch < f.topo->num_channels(); ++ch)
+      sim.set_capacity(ch, LinkModel{}.bandwidth *
+                               (0.1 + std::fmod(0.618034 * ch, 0.9)));
+    stats::Rng rng(0x3e7);
+    for (const int overlays : {1, 8, 64}) {
+      std::vector<Flow> flows;
+      for (int o = 0; o < overlays; ++o) {
+        std::vector<Flow> one = uniform_set(f, rng);
+        for (Flow& flow : one) flows.push_back(std::move(flow));
+      }
+      const Solved solved = solve_three_ways(
+          sim, flows, f.name + " x" + std::to_string(overlays));
+      max_levels = std::max(max_levels, solved.record.num_levels());
     }
   }
+  EXPECT_GT(max_levels, FlowSim::kRescanLevelBudget);
 }
 
-// --- saturation-epsilon regressions on kIndexed -------------------------------
+// --- saturation-epsilon regressions on all three solves ----------------------
 
 /// Two switches, one cable, `terminals` nodes per switch (as in
 /// sim_test.cpp; the epsilon regressions live on this shape).
@@ -293,25 +404,16 @@ struct Dumbbell {
   }
 };
 
-/// Solves `flows` on both engines and asserts bitwise parity; returns the
-/// kIndexed rates for scenario-specific assertions.
-std::vector<double> solve_both(const Dumbbell& d, double bandwidth,
+/// Solves `flows` three ways and asserts bitwise parity; returns the rates
+/// for scenario-specific assertions.
+std::vector<double> solve_all(const Dumbbell& d, double bandwidth,
                                double cable_capacity,
                                const std::vector<Flow>& flows) {
   LinkModel link;
   link.bandwidth = bandwidth;
-  FlowSim reference(d.topo, link, FlowSim::SolverEngine::kReference);
-  FlowSim indexed(d.topo, link, FlowSim::SolverEngine::kIndexed);
-  reference.set_capacity(d.ab, cable_capacity);
-  indexed.set_capacity(d.ab, cable_capacity);
-
-  obs::FlowSolveTrace ref_trace;
-  obs::FlowSolveTrace idx_trace;
-  const auto ref_rates = reference.fair_rates(flows, &ref_trace);
-  const auto idx_rates = indexed.fair_rates(flows, &idx_trace);
-  EXPECT_TRUE(bits_equal(ref_rates, idx_rates));
-  EXPECT_TRUE(records_equal(ref_trace.solves.at(0), idx_trace.solves.at(0)));
-  return idx_rates;
+  FlowSim sim(d.topo, link);
+  sim.set_capacity(d.ab, cable_capacity);
+  return solve_three_ways(sim, flows, "dumbbell").rates;
 }
 
 TEST(FlowSimGolden, SaturationEpsilonDenormalCapacityMatches) {
@@ -320,7 +422,7 @@ TEST(FlowSimGolden, SaturationEpsilonDenormalCapacityMatches) {
   flows.push_back(Flow{{d.topo.terminal_up(0), d.topo.terminal_down(1)}, 1});
   flows.push_back(
       Flow{{d.topo.terminal_up(0), d.ab, d.topo.terminal_down(2)}, 1});
-  const auto rates = solve_both(d, 1.0, 1e-300, flows);
+  const auto rates = solve_all(d, 1.0, 1e-300, flows);
   EXPECT_DOUBLE_EQ(rates[1], 1e-300);
   EXPECT_DOUBLE_EQ(rates[0], 1.0);
 }
@@ -333,7 +435,7 @@ TEST(FlowSimGolden, SaturationEpsilonFullyFrozenLoadedChannelMatches) {
       Flow{{d.topo.terminal_up(0), d.ab, d.topo.terminal_down(2)}, 1});
   flows.push_back(
       Flow{{d.topo.terminal_up(1), d.ab, d.topo.terminal_down(3)}, 1});
-  const auto rates = solve_both(d, 1.0, 1.5, flows);
+  const auto rates = solve_all(d, 1.0, 1.5, flows);
   EXPECT_DOUBLE_EQ(rates[0], 0.5);
   EXPECT_DOUBLE_EQ(rates[1], 0.5);
   EXPECT_DOUBLE_EQ(rates[2], 1.0);
@@ -345,7 +447,7 @@ TEST(FlowSimGolden, SaturationEpsilonNonRepresentableSharesMatch) {
   for (NodeId i = 0; i < 4; ++i) flows.push_back(d.flow(i, 4 + i, 1));
   flows.push_back(Flow{{d.topo.terminal_up(0), d.topo.terminal_down(1)}, 1});
   flows.push_back(Flow{{d.topo.terminal_up(0), d.topo.terminal_down(2)}, 1});
-  const auto rates = solve_both(d, 0.3, 0.1, flows);
+  const auto rates = solve_all(d, 0.3, 0.1, flows);
   for (NodeId i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(rates[i], 0.1 / 4.0);
 }
 
