@@ -1,69 +1,26 @@
-// Discrete-event cores.
+// Flat 4-ary heaps: the discrete-event core of the packet engine and the
+// keyed priority queue of the flow solver.
 //
-// Two implementations share the same ordering contract -- events at equal
-// timestamps run in scheduling order (a monotone sequence number breaks
-// ties), which keeps simulations deterministic:
-//
-//  - EventQueue: a time-ordered queue of type-erased callbacks.  Flexible
-//    (any lambda), but every entry carries a std::function and the binary
-//    heap shuffles those fat entries around.  Kept as the reference core
-//    for the seed packet engine and for tests.
-//  - FlatEventHeap<Payload>: a typed core for hot simulators.  Entries are
-//    {when, seq, Payload} PODs in one flat 4-ary implicit heap; the owner
-//    dispatches the popped payload itself (a switch over an event-kind
-//    tag).  reserve() ahead of a run and the steady state performs zero
-//    heap allocations per event; capacity persists across reset(), so a
-//    warm engine never re-reserves.  The 4-ary layout trades slightly more
-//    comparisons per level for half the levels and contiguous child
-//    groups, which is a clear win once entries are small PODs.
+//  - FlatEventHeap<Payload>: a typed event core for hot simulators.  Entries
+//    are {when, seq, Payload} PODs in one flat 4-ary implicit heap; events
+//    at equal timestamps pop in scheduling order (a monotone sequence
+//    number breaks ties), which keeps simulations deterministic.  The
+//    owner dispatches the popped payload itself (a switch over an
+//    event-kind tag).  reserve() ahead of a run and the steady state
+//    performs zero heap allocations per event; capacity persists across
+//    reset(), so a warm engine never re-reserves.  The 4-ary layout trades
+//    slightly more comparisons per level for half the levels and
+//    contiguous child groups, which is a clear win once entries are small
+//    PODs.
+//  - FlatKeyHeap: a re-keyable min-heap on the same core (see below).
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
-#include <functional>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
 namespace hxsim::sim {
-
-class EventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  /// Schedules `cb` at absolute time `when` (must be >= now()).
-  void schedule(double when, Callback cb);
-
-  /// Convenience: schedule at now() + delay.
-  void schedule_in(double delay, Callback cb) { schedule(now_ + delay, std::move(cb)); }
-
-  [[nodiscard]] double now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
-
-  /// Pops and runs the earliest event; returns false when idle.
-  bool run_one();
-
-  /// Runs until the queue drains or `max_events` fire; returns events run.
-  std::size_t run(std::size_t max_events = SIZE_MAX);
-
- private:
-  struct Entry {
-    double when;
-    std::uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-};
 
 namespace detail {
 
@@ -145,10 +102,11 @@ class Flat4Heap {
 }  // namespace detail
 
 /// Typed allocation-free event core (see the header comment).  Payload must
-/// be cheaply copyable (a small POD event record).  Ordering is identical
-/// to EventQueue: strictly by (when, seq), so any two cores fed the same
-/// schedule() sequence pop in the same order -- the property the packet
-/// engine's golden bit-identity suite rests on.
+/// be cheaply copyable (a small POD event record).  Ordering is strictly by
+/// (when, seq), the same contract as the reference engine's
+/// audit::EventQueue, so any two cores fed the same schedule() sequence
+/// pop in the same order -- the property the packet engine's golden
+/// bit-identity suite rests on.
 template <typename Payload>
 class FlatEventHeap {
  public:
@@ -171,10 +129,9 @@ class FlatEventHeap {
     return heap_.capacity();
   }
 
-  /// Schedules `payload` at absolute time `when`.  Enforces the contract
-  /// the callback queue documents: `when` must be >= now().  The negated
-  /// comparison also rejects NaN timestamps, which would silently corrupt
-  /// the heap order.
+  /// Schedules `payload` at absolute time `when`, which must be >= now().
+  /// The negated comparison also rejects NaN timestamps, which would
+  /// silently corrupt the heap order.
   void schedule(double when, const Payload& payload) {
     if (!(when >= now_))
       throw std::invalid_argument(

@@ -23,16 +23,24 @@
 //    source's terminal-up and ending at the destination's terminal-down
 //    channel); malformed paths throw instead of walking out of bounds.
 //
-// Engines: the default engine is the typed zero-allocation core -- POD
-// event records ({kInject, kXmitDone, kArrive}) on a flat 4-ary heap,
-// packets in a pool pre-sized from message bytes/MTU, per-VL FIFOs threaded
+// Engine: one typed zero-allocation core -- POD event records ({kInject,
+// kXmitDone, kArrive} plus the online kinds) on a flat 4-ary heap, packets
+// in a pool pre-sized from message bytes/MTU, per-VL FIFOs threaded
 // intrusively through that pool, and channel state split into flat
 // per-channel / per-channel-x-VL arrays.  All of that scratch lives in the
 // PktSim object and is reused across run() calls, so a warm engine performs
-// zero heap allocations per event.  The seed std::function engine is kept
-// as Engine::kReference, bit-identical by construction; the golden suite in
-// tests/pktsim_golden_test.cpp and bench/pktsim_scaling hold the two to
-// byte equality.
+// zero heap allocations per event.  The seed std::function engine survives
+// only as an oracle in the audit library (audit::reference_run); the golden
+// suite in tests/pktsim_golden_test.cpp, the fuzz audit and the
+// pktsim_speedup / online_resilience experiments hold the two to byte
+// equality.
+//
+// Validation: the constructor rejects a non-finite or non-positive link
+// bandwidth, a non-finite or negative hop latency, an MTU below one byte,
+// and out-of-range VL / buffer / adaptive / online settings; run() rejects
+// malformed messages (negative bytes, a negative or non-finite inject
+// time, bad terminals, VLs or paths) naming the message index.  Both
+// throw std::invalid_argument.
 //
 // Replication: run_batch() fans independent message sets across an
 // exec::ThreadPool, one engine instance (and scratch) per worker, results
@@ -63,7 +71,6 @@
 #include "obs/deadlock.hpp"
 #include "obs/pkt_trace.hpp"
 #include "sim/adaptive.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/link_model.hpp"
 #include "sim/online.hpp"
 #include "topo/topology.hpp"
@@ -123,11 +130,6 @@ struct PktSimConfig {
   /// nullptr or an inert config (no faults/epochs, retry disabled) is the
   /// bit-identity off switch.
   const PktOnlineConfig* online = nullptr;
-  /// Engine selection.  kTyped is the allocation-free data-oriented engine
-  /// (the default); kReference is the seed std::function/deque engine,
-  /// kept for golden bit-identity testing and old-vs-new benchmarking.
-  enum class Engine : std::int8_t { kTyped, kReference };
-  Engine engine = Engine::kTyped;
 };
 
 class PktSim {

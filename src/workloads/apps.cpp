@@ -1,5 +1,6 @@
 #include "workloads/apps.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 

@@ -1,7 +1,6 @@
 #include "workloads/online_resilience.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -15,33 +14,6 @@
 namespace hxsim::workloads {
 
 namespace {
-
-/// Bitwise double equality (NaN-safe: two NaNs of the same payload match),
-/// the comparison the typed/reference identity contract is stated in.
-bool bits_equal(double a, double b) noexcept {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Field-for-field Result equality over every online-era field.  The
-/// deadlock report is covered by the flag: arms are expected deadlock-free
-/// and a report differing under an equal flag would mean unequal queues,
-/// which the completion/drop fields already expose.
-bool results_equal(const sim::PktSim::Result& a,
-                   const sim::PktSim::Result& b) {
-  if (a.completion.size() != b.completion.size()) return false;
-  for (std::size_t i = 0; i < a.completion.size(); ++i)
-    if (!bits_equal(a.completion[i], b.completion[i])) return false;
-  return a.deadlock == b.deadlock && a.truncated == b.truncated &&
-         bits_equal(a.end_time, b.end_time) &&
-         a.packets_delivered == b.packets_delivered &&
-         a.packets_total == b.packets_total &&
-         a.events_executed == b.events_executed &&
-         a.packets_dropped == b.packets_dropped &&
-         a.dropped_by_cause == b.dropped_by_cause &&
-         a.retries == b.retries &&
-         a.messages_abandoned == b.messages_abandoned &&
-         a.message_status == b.message_status;
-}
 
 /// Seeded path-less message set: uniform random pairs (self-sends
 /// redrawn), inject times spread evenly over the window.
@@ -67,44 +39,15 @@ std::vector<sim::PktMessage> build_messages(
   return messages;
 }
 
-struct ArmOutcome {
-  sim::PktSim::Result result;
-  bool engines_identical = false;
-};
-
-/// Runs one arm on both engines and certifies their bitwise agreement.
-ArmOutcome run_arm(const topo::Topology& topo,
-                   std::span<const sim::PktMessage> messages,
-                   const sim::PktOnlineConfig* online,
-                   const sim::AdaptiveRouter* adaptive,
-                   const OnlineResilienceOptions& options) {
-  sim::PktSimConfig config;
-  config.num_vls = options.num_vls;
-  config.adaptive = adaptive;
-  config.online = online;
-  config.engine = sim::PktSimConfig::Engine::kTyped;
-  sim::PktSim typed(topo, config);
-  ArmOutcome out;
-  out.result = typed.run(messages, options.max_events);
-  config.engine = sim::PktSimConfig::Engine::kReference;
-  sim::PktSim reference(topo, config);
-  out.engines_identical =
-      results_equal(out.result, reference.run(messages, options.max_events));
-  return out;
-}
-
-OnlineResilienceRow make_row(std::string arm,
+OnlineResilienceRow make_row(const OnlineArm& arm,
                              std::span<const sim::PktMessage> messages,
-                             const ArmOutcome& out, double delay, bool faulted,
-                             bool retry, bool adaptive) {
-  const sim::PktSim::Result& r = out.result;
+                             const sim::PktSim::Result& r) {
   OnlineResilienceRow row;
-  row.arm = std::move(arm);
-  row.propagation_delay = delay;
-  row.faulted = faulted;
-  row.retry = retry;
-  row.adaptive = adaptive;
-  row.engines_identical = out.engines_identical;
+  row.arm = arm.name;
+  row.propagation_delay = arm.propagation_delay;
+  row.faulted = arm.faulted;
+  row.retry = arm.retry;
+  row.adaptive = arm.adaptive != nullptr;
   row.deadlock = r.deadlock;
   row.messages = static_cast<std::int64_t>(messages.size());
   row.packets_total = r.packets_total;
@@ -138,7 +81,15 @@ OnlineResilienceRow make_row(std::string arm,
 
 }  // namespace
 
-OnlineResilienceReport run_online_resilience_campaign(
+sim::PktSimConfig OnlineResiliencePlan::config(const OnlineArm& arm) const {
+  sim::PktSimConfig config;
+  config.num_vls = num_vls;
+  config.adaptive = arm.adaptive;
+  config.online = &arm.online;
+  return config;
+}
+
+OnlineResiliencePlan plan_online_resilience(
     topo::Topology& topo, routing::RoutingEngine& engine,
     const routing::LidSpace& lids, const sim::AdaptiveRouter* adaptive,
     const OnlineResilienceOptions& options) {
@@ -150,13 +101,14 @@ OnlineResilienceReport run_online_resilience_campaign(
     throw std::invalid_argument(
         "online campaign: need at least one propagation delay");
 
-  OnlineResilienceReport report;
+  OnlineResiliencePlan plan;
+  plan.num_vls = options.num_vls;
 
   // Epoch 0: the intact fabric's tables.  reroute_and_verify throws on any
-  // blackhole column, so the recorded counts double as proof they were 0.
-  const routing::RerouteOutcome e0 =
-      routing::reroute_and_verify(engine, topo, lids, options.threads);
-  report.blackhole_columns_epoch0 = e0.census.blackhole_entries;
+  // blackhole column.
+  plan.epoch0 = std::make_unique<const routing::RerouteOutcome>(
+      routing::reroute_and_verify(engine, topo, lids, options.threads));
+  const routing::RerouteOutcome& e0 = *plan.epoch0;
 
   // One seeded link-fault stage, timed mid-run.
   topo::FaultSchedule::Options fault_options;
@@ -173,70 +125,52 @@ OnlineResilienceReport run_online_resilience_campaign(
   // revert guard -- however reroute_and_verify exits (including its
   // blackhole-column throw), the shared fabric is restored intact before
   // any packet run sees it.
-  routing::RerouteOutcome e1;
   {
     const topo::ScheduleRevertGuard revert_guard(topo, schedule);
     const topo::FaultReport applied = schedule.apply_stage(topo, 0);
-    report.cables_failed =
+    plan.cables_failed =
         static_cast<std::int32_t>(applied.disabled_links.size());
-    e1 = routing::reroute_and_verify(engine, topo, lids, options.threads);
+    plan.epoch1 = std::make_unique<const routing::RerouteOutcome>(
+        routing::reroute_and_verify(engine, topo, lids, options.threads));
   }
-  report.blackhole_columns_epoch1 = e1.census.blackhole_entries;
 
-  const std::vector<sim::PktMessage> messages =
-      build_messages(topo, options, options.traffic_seed);
+  plan.messages = build_messages(topo, options, options.traffic_seed);
 
-  // Off-switch contract: the same traffic pinned to its epoch-0 static
-  // paths runs bit-identically with an *inert* attached config and with
-  // online = nullptr.
-  {
-    std::vector<sim::PktMessage> static_messages = messages;
-    for (sim::PktMessage& m : static_messages) {
-      auto path = e0.route.tables.path(topo, lids, m.src, lids.base_lid(m.dst));
-      if (!path.ok)
-        throw std::runtime_error("online campaign: intact fabric lost a path");
-      m.path = std::move(path.channels);
-      m.vl = e0.route.vls.vl(topo.attach_switch(m.src), lids.base_lid(m.dst));
-    }
-    const sim::PktOnlineConfig inert;  // active() == false
-    const ArmOutcome with_inert =
-        run_arm(topo, static_messages, &inert, nullptr, options);
-    const ArmOutcome without =
-        run_arm(topo, static_messages, nullptr, nullptr, options);
-    report.nofault_identical = with_inert.engines_identical &&
-                               without.engines_identical &&
-                               results_equal(with_inert.result, without.result);
+  // The off-switch probe: the same traffic pinned to its epoch-0 static
+  // paths.
+  plan.static_messages = plan.messages;
+  for (sim::PktMessage& m : plan.static_messages) {
+    auto path = e0.route.tables.path(topo, lids, m.src, lids.base_lid(m.dst));
+    if (!path.ok)
+      throw std::runtime_error("online campaign: intact fabric lost a path");
+    m.path = std::move(path.channels);
+    m.vl = e0.route.vls.vl(topo.attach_switch(m.src), lids.base_lid(m.dst));
   }
 
   sim::PktRoutingEpoch epoch0;
   epoch0.tables = &e0.route.tables;
   epoch0.vls = &e0.route.vls;
   sim::PktRoutingEpoch epoch1_from_start;
-  epoch1_from_start.tables = &e1.route.tables;
-  epoch1_from_start.vls = &e1.route.vls;
+  epoch1_from_start.tables = &plan.epoch1->route.tables;
+  epoch1_from_start.vls = &plan.epoch1->route.vls;
 
-  bool engines_ok = true;
-  const auto run_row = [&](std::string name, const sim::PktOnlineConfig& cfg,
-                           const sim::AdaptiveRouter* arm_adaptive,
-                           double delay, bool faulted,
-                           bool retry) -> OnlineResilienceRow& {
-    const ArmOutcome out =
-        run_arm(topo, messages, &cfg, arm_adaptive, options);
-    engines_ok &= out.engines_identical;
-    report.rows.push_back(make_row(std::move(name), messages, out, delay,
-                                   faulted, retry, arm_adaptive != nullptr));
-    return report.rows.back();
+  const auto add_arm = [&](std::string name, sim::PktOnlineConfig online,
+                           double delay, bool faulted, bool retry) {
+    OnlineArm arm;
+    arm.name = std::move(name);
+    arm.propagation_delay = delay;
+    arm.faulted = faulted;
+    arm.retry = retry;
+    arm.online = std::move(online);
+    arm.online.lids = &lids;
+    arm.online.ttl_hops = options.ttl_hops;
+    plan.arms.push_back(std::move(arm));
   };
 
   // Baseline: intact fabric, epoch-0 tables, no faults.
   sim::PktOnlineConfig baseline_cfg;
   baseline_cfg.epochs = {epoch0};
-  baseline_cfg.lids = &lids;
-  baseline_cfg.ttl_hops = options.ttl_hops;
-  const OnlineResilienceRow baseline =
-      run_row("baseline", baseline_cfg, nullptr, 0.0, false, false);
-  const double baseline_fraction = baseline.delivered_fraction;
-  const double baseline_makespan = baseline.makespan;
+  add_arm("baseline", std::move(baseline_cfg), 0.0, false, false);
 
   // Static-reroute envelope: the repaired tables installed from t = 0.
   // Epoch 1 never forwards onto a cut cable, so only packets physically on
@@ -244,81 +178,79 @@ OnlineResilienceReport run_online_resilience_campaign(
   sim::PktOnlineConfig envelope_cfg;
   envelope_cfg.faults = feed;
   envelope_cfg.epochs = {epoch1_from_start};
-  envelope_cfg.lids = &lids;
-  envelope_cfg.ttl_hops = options.ttl_hops;
-  run_row("static-reroute", envelope_cfg, nullptr, 0.0, true, false);
+  add_arm("static-reroute", std::move(envelope_cfg), 0.0, true, false);
 
   // Propagation-delay sweep: epoch 0 everywhere, epoch 1 installed
   // per-switch at fault_time + delay; with and without end-host retry.
   const auto nsw = static_cast<std::size_t>(topo.num_switches());
-  std::vector<sim::PktOnlineConfig> sweep_cfgs;  // stable addresses for runs
-  sweep_cfgs.reserve(options.propagation_delays.size() * 2);
-  report.retry_retention_gain = 1.0;
   for (const double delay : options.propagation_delays) {
     sim::PktRoutingEpoch epoch1 = epoch1_from_start;
     epoch1.install_time.assign(nsw, options.fault_time + delay);
     sim::PktOnlineConfig cfg;
     cfg.faults = feed;
     cfg.epochs = {epoch0, epoch1};
-    cfg.lids = &lids;
-    cfg.ttl_hops = options.ttl_hops;
-    sweep_cfgs.push_back(cfg);
-    const OnlineResilienceRow off = run_row(
-        "delay-sweep", sweep_cfgs.back(), nullptr, delay, true, false);
-    const double off_fraction = off.delivered_fraction;
+    add_arm("delay-sweep", cfg, delay, true, false);
     cfg.retry = options.retry;
     cfg.retry.enabled = true;
-    sweep_cfgs.push_back(std::move(cfg));
-    const OnlineResilienceRow on = run_row(
-        "delay-sweep", sweep_cfgs.back(), nullptr, delay, true, true);
-    const double gain = (baseline_fraction > 0.0
-                             ? (on.delivered_fraction - off_fraction) /
-                                   baseline_fraction
-                             : 0.0);
-    report.retry_retention_gain =
-        std::min(report.retry_retention_gain, gain);
+    add_arm("delay-sweep", std::move(cfg), delay, true, true);
   }
+  // The last retry-on sweep arm has the longest stale window.
+  plan.retry_probe_arm = plan.arms.size() - 1;
+  for (std::uint64_t r = 0; r < 4; ++r)
+    plan.probe_traffic.push_back(
+        build_messages(topo, options, options.traffic_seed + 1 + r));
 
   // Adaptive escape: per-hop DAL/PARX routing through the same faults.
-  sim::PktOnlineConfig adaptive_cfg;
   if (adaptive != nullptr) {
-    adaptive_cfg.faults = feed;
-    adaptive_cfg.retry = options.retry;
-    adaptive_cfg.retry.enabled = true;
-    run_row("adaptive-escape", adaptive_cfg, adaptive, 0.0, true, true);
+    OnlineArm arm;
+    arm.name = "adaptive-escape";
+    arm.faulted = true;
+    arm.retry = true;
+    arm.adaptive = adaptive;
+    arm.online.faults = feed;
+    arm.online.retry = options.retry;
+    arm.online.retry.enabled = true;
+    plan.arms.push_back(std::move(arm));
+  }
+  return plan;
+}
+
+OnlineResilienceReport run_online_resilience_campaign(
+    const topo::Topology& topo, const OnlineResiliencePlan& plan,
+    const OnlineResilienceOptions& options) {
+  OnlineResilienceReport report;
+  for (const OnlineArm& arm : plan.arms) {
+    sim::PktSim sim(topo, plan.config(arm));
+    report.results.push_back(sim.run(plan.messages, options.max_events));
+    report.rows.push_back(make_row(arm, plan.messages, report.results.back()));
   }
 
   // Normalise the goodput-retention column against the baseline arm.
+  const OnlineResilienceRow& baseline = report.rows.front();
+  const double baseline_fraction = baseline.delivered_fraction;
+  const double baseline_makespan = baseline.makespan;
   for (OnlineResilienceRow& row : report.rows) {
     row.retention = baseline_fraction > 0.0
                         ? row.delivered_fraction / baseline_fraction
                         : 0.0;
     row.recovery_time = std::max(0.0, row.makespan - baseline_makespan);
   }
-  report.all_engines_identical = engines_ok;
 
-  // Thread-count invariance of the retry jitter stream: the hardest sweep
-  // arm (longest stale window, retry on) replayed through run_batch at one
-  // worker and at options.threads workers must agree bitwise.
-  {
-    const sim::PktOnlineConfig& cfg = sweep_cfgs.back();
-    sim::PktSimConfig config;
-    config.num_vls = options.num_vls;
-    config.online = &cfg;
-    std::vector<std::vector<sim::PktMessage>> replications;
-    for (std::uint64_t r = 0; r < 4; ++r)
-      replications.push_back(
-          build_messages(topo, options, options.traffic_seed + 1 + r));
-    sim::PktSim sim(topo, config);
-    const auto serial = sim.run_batch(replications, 1, {}, options.max_events);
-    const auto fanned = sim.run_batch(
-        replications, options.threads > 0 ? options.threads : 4, {},
-        options.max_events);
-    report.threads_identical = serial.size() == fanned.size();
-    for (std::size_t i = 0; report.threads_identical && i < serial.size(); ++i)
-      report.threads_identical = results_equal(serial[i], fanned[i]);
+  // Retry never loses goodput: retry-on minus retry-off retention at every
+  // sweep delay (each retry-on sweep arm directly follows its retry-off
+  // twin).
+  report.retry_retention_gain = 1.0;
+  for (std::size_t i = 1; i < report.rows.size(); ++i) {
+    const OnlineResilienceRow& on = report.rows[i];
+    const OnlineResilienceRow& off = report.rows[i - 1];
+    if (on.arm != "delay-sweep" || !on.retry) continue;
+    const double gain =
+        baseline_fraction > 0.0
+            ? (on.delivered_fraction - off.delivered_fraction) /
+                  baseline_fraction
+            : 0.0;
+    report.retry_retention_gain = std::min(report.retry_retention_gain, gain);
   }
-
   return report;
 }
 

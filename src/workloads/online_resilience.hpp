@@ -14,29 +14,35 @@
 //                   after the fault instant, retry off and retry on
 //   adaptive        path-less DAL/PARX escape routing through the faults
 //
-// Every arm runs on both PktSim engines and the two Results are compared
-// field-for-field: the typed/reference bitwise-identity contract extends
-// to drops, retries, epochs and statuses.  The campaign also proves the
-// off switch (an inert PktOnlineConfig leaves static-path runs
-// bit-identical to online = nullptr) and the run_batch thread-count
-// invariance of the retry jitter stream.
+// Arm construction and arm execution are split: plan_online_resilience
+// computes both epochs, the timed fault feed, the traffic and one
+// PktOnlineConfig per arm into an owning plan, and
+// run_online_resilience_campaign replays the plan on the packet engine.
+// The plan also carries what the online_resilience experiment needs to
+// check the layer's contracts from outside: the traffic pinned to its
+// epoch-0 static paths (the inert-config off switch), the retry probe
+// arm and its replication traffic (run_batch thread-count invariance),
+// and every arm's PktSimConfig, which it replays on the audit library's
+// reference engine.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/pkt_trace.hpp"
 #include "routing/engine.hpp"
 #include "routing/lid_space.hpp"
+#include "routing/verify.hpp"
 #include "sim/pktsim.hpp"
 #include "topo/topology.hpp"
 
 namespace hxsim::workloads {
 
-/// One arm's outcome (the typed engine's numbers; `engines_identical`
-/// certifies the reference engine produced the identical Result).
+/// One arm's outcome on the packet engine.
 struct OnlineResilienceRow {
   std::string arm;
   /// Per-switch install delay of the repaired tables after the fault [s];
@@ -45,7 +51,6 @@ struct OnlineResilienceRow {
   bool faulted = false;
   bool retry = false;
   bool adaptive = false;
-  bool engines_identical = false;
   bool deadlock = false;
   double makespan = 0.0;  // last delivered completion (end_time if none)
   std::int64_t messages = 0;
@@ -68,20 +73,10 @@ struct OnlineResilienceRow {
 };
 
 struct OnlineResilienceReport {
+  /// One row per plan arm, in plan order.
   std::vector<OnlineResilienceRow> rows;
-  /// Blackhole columns of the freshly computed epochs (reroute_and_verify
-  /// throws unless both are zero; recorded for the bench JSON).
-  std::int64_t blackhole_columns_epoch0 = 0;
-  std::int64_t blackhole_columns_epoch1 = 0;
-  std::int32_t cables_failed = 0;
-  /// Off-switch contract: static-path runs with an *inert* attached
-  /// PktOnlineConfig are bitwise identical to online = nullptr.
-  bool nofault_identical = false;
-  /// Every arm's typed and reference Results were field-for-field equal.
-  bool all_engines_identical = false;
-  /// run_batch at 1 worker and at options.threads workers agreed bitwise
-  /// on the retry-on faulted arm.
-  bool threads_identical = false;
+  /// The engine's full Result per plan arm, in plan order.
+  std::vector<sim::PktSim::Result> results;
   /// min over sweep delays of (retention with retry - retention without):
   /// the claims-registry contract that retransmission never loses goodput.
   double retry_retention_gain = 0.0;
@@ -106,20 +101,66 @@ struct OnlineResilienceOptions {
                             /*max_retries=*/6, /*seed=*/1};
   std::int32_t num_vls = 8;
   std::int32_t ttl_hops = 64;
-  /// Worker count of the run_batch thread-identity check (compared
-  /// against 1 worker) and of the reroutes.
+  /// Worker count of the reroutes (and of the experiment's run_batch
+  /// thread-identity check, compared against 1 worker).
   std::int32_t threads = 0;
   std::size_t max_events = SIZE_MAX;
 };
 
-/// Runs the campaign on `topo` with `engine` computing both epochs (the
+/// One arm of the ladder: its online layer (and, for the adaptive arm,
+/// its router), replayed over the plan's path-less traffic.
+struct OnlineArm {
+  std::string name;
+  /// See OnlineResilienceRow::propagation_delay.
+  double propagation_delay = 0.0;
+  bool faulted = false;
+  bool retry = false;
+  sim::PktOnlineConfig online;
+  const sim::AdaptiveRouter* adaptive = nullptr;
+};
+
+/// Everything the campaign replays, owned.  Arms point into the epochs
+/// (heap-held, so the plan may be moved) and into the caller's LidSpace,
+/// which must outlive the plan.
+struct OnlineResiliencePlan {
+  /// Epoch 0 (the intact fabric's tables) and epoch 1 (the repaired
+  /// tables, computed on the faulted fabric).  reroute_and_verify throws
+  /// on blackhole columns, so both censuses record zero.
+  std::unique_ptr<const routing::RerouteOutcome> epoch0;
+  std::unique_ptr<const routing::RerouteOutcome> epoch1;
+  std::int32_t cables_failed = 0;
+  std::int32_t num_vls = 8;
+  /// The seeded path-less traffic every arm replays.
+  std::vector<sim::PktMessage> messages;
+  /// The same traffic pinned to its epoch-0 static paths and VLs: the
+  /// off-switch probe (an inert online config must change no result bit).
+  std::vector<sim::PktMessage> static_messages;
+  /// baseline, static-reroute, the delay sweep (retry off, then on, per
+  /// delay), and adaptive-escape when a router was given.
+  std::vector<OnlineArm> arms;
+  /// The retry-on sweep arm with the longest stale window, and four more
+  /// seeded traffic sets: the run_batch thread-count invariance probe.
+  std::size_t retry_probe_arm = 0;
+  std::vector<std::vector<sim::PktMessage>> probe_traffic;
+
+  /// The PktSimConfig `arm` runs under (online points into the arm).
+  [[nodiscard]] sim::PktSimConfig config(const OnlineArm& arm) const;
+};
+
+/// Plans the campaign on `topo` with `engine` computing both epochs (the
 /// fabric is faulted only inside a ScheduleRevertGuard scope and returned
 /// intact).  `adaptive`, when non-null, adds the adaptive-escape arm.
 /// Throws if either epoch ships blackhole columns (reroute_and_verify) or
 /// the fault stage disabled nothing.
-[[nodiscard]] OnlineResilienceReport run_online_resilience_campaign(
+[[nodiscard]] OnlineResiliencePlan plan_online_resilience(
     topo::Topology& topo, routing::RoutingEngine& engine,
     const routing::LidSpace& lids, const sim::AdaptiveRouter* adaptive,
+    const OnlineResilienceOptions& options = {});
+
+/// Runs every plan arm on the packet engine (options.max_events per run)
+/// and normalises retention and recovery time against the baseline arm.
+[[nodiscard]] OnlineResilienceReport run_online_resilience_campaign(
+    const topo::Topology& topo, const OnlineResiliencePlan& plan,
     const OnlineResilienceOptions& options = {});
 
 }  // namespace hxsim::workloads

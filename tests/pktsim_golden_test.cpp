@@ -1,5 +1,5 @@
 // Golden bit-identity suite: the typed zero-allocation packet engine vs
-// the seed reference engine (PktSimConfig::Engine::kReference).
+// the seed reference engine of the audit library (audit::reference_run).
 //
 // The typed engine is a representational rewrite -- POD events on a flat
 // 4-ary heap, intrusive VL FIFOs through a packet pool, SoA channel state
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/reference_pktsim.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/ftree.hpp"
@@ -97,16 +98,14 @@ void golden_compare(const Topology& topo, PktSimConfig base,
   obs::PktTrace ref_trace;
 
   PktSimConfig typed_cfg = base;
-  typed_cfg.engine = PktSimConfig::Engine::kTyped;
   typed_cfg.trace = with_trace ? &typed_trace : nullptr;
   PktSim typed(topo, typed_cfg);
   const PktSim::Result rt = typed.run(msgs, max_events);
 
   PktSimConfig ref_cfg = base;
-  ref_cfg.engine = PktSimConfig::Engine::kReference;
   ref_cfg.trace = with_trace ? &ref_trace : nullptr;
-  PktSim ref(topo, ref_cfg);
-  const PktSim::Result rr = ref.run(msgs, max_events);
+  const PktSim::Result rr =
+      audit::reference_run(topo, ref_cfg, msgs, max_events);
 
   expect_identical(rt, rr);
   if (with_trace) expect_traces_identical(typed_trace, ref_trace);
@@ -202,12 +201,8 @@ TEST_F(HyperXGolden, BatchMatchesSerialReferenceLoop) {
     reps.push_back(traffic(s, 120, 0.5));
 
   std::vector<PktSim::Result> serial;
-  PktSimConfig ref_cfg = cfg;
-  ref_cfg.engine = PktSimConfig::Engine::kReference;
-  for (const auto& r : reps) {
-    PktSim ref(hx_.topo(), ref_cfg);
-    serial.push_back(ref.run(r));
-  }
+  for (std::size_t i = 0; i < reps.size(); ++i)
+    serial.push_back(audit::reference_run(hx_.topo(), cfg, reps[i], SIZE_MAX, i));
 
   for (const std::int32_t threads : {1, 4}) {
     PktSim typed(hx_.topo(), cfg);
@@ -228,12 +223,10 @@ TEST_F(HyperXGolden, WarmTypedEngineStaysIdenticalToColdReference) {
   PktSimConfig cfg;
   cfg.adaptive = &dal_;
   PktSim typed(hx_.topo(), cfg);
-  PktSimConfig ref_cfg = cfg;
-  ref_cfg.engine = PktSimConfig::Engine::kReference;
   for (const std::uint64_t seed : {31u, 32u, 33u}) {
     const auto msgs = traffic(seed, 200, 0.5);
-    PktSim ref(hx_.topo(), ref_cfg);
-    expect_identical(typed.run(msgs), ref.run(msgs));
+    expect_identical(typed.run(msgs),
+                     audit::reference_run(hx_.topo(), cfg, msgs));
   }
 }
 
@@ -251,9 +244,7 @@ TEST_F(HyperXGolden, InertOnlineConfigIsBitIdentical) {
   cfg.online = &inert;
   PktSim typed(hx_.topo(), cfg);
   expect_identical(typed.run(msgs), base);
-  cfg.engine = PktSimConfig::Engine::kReference;
-  PktSim ref(hx_.topo(), cfg);
-  expect_identical(ref.run(msgs), base);
+  expect_identical(audit::reference_run(hx_.topo(), cfg, msgs), base);
 }
 
 TEST_F(HyperXGolden, OnlineFaultWithRetryMatchesAcrossEnginesAndThreads) {
@@ -277,13 +268,10 @@ TEST_F(HyperXGolden, OnlineFaultWithRetryMatchesAcrossEnginesAndThreads) {
   cfg.online = &online;
   for (const auto& r : reps) golden_compare(hx_.topo(), cfg, r, true);
 
-  PktSimConfig ref_cfg = cfg;
-  ref_cfg.engine = PktSimConfig::Engine::kReference;
-  PktSim ref(hx_.topo(), ref_cfg);
   std::vector<PktSim::Result> serial;
   std::int64_t retries = 0;
   for (std::size_t i = 0; i < reps.size(); ++i) {
-    serial.push_back(ref.run(reps[i], SIZE_MAX, i));
+    serial.push_back(audit::reference_run(hx_.topo(), cfg, reps[i], SIZE_MAX, i));
     retries += serial.back().retries;
   }
   EXPECT_GT(retries, 0) << "fault did not exercise the retry path";

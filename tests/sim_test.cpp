@@ -1,6 +1,7 @@
 // Tests for the simulators: event queue ordering, max-min fairness
 // invariants of FlowSim, and packet-level conservation / latency /
-// deadlock behaviour of PktSim.
+// deadlock behaviour of PktSim (cross-checked against the audit library's
+// reference engine where the two must agree).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,11 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "stats/rng.hpp"
 
+#include "audit/reference_pktsim.hpp"
 #include "routing/forwarding.hpp"
 #include "sim/adaptive.hpp"
 #include "sim/event_queue.hpp"
@@ -28,6 +31,7 @@ using topo::ChannelId;
 using topo::NodeId;
 using topo::SwitchId;
 using topo::Topology;
+using audit::EventQueue;
 
 // --- EventQueue ---------------------------------------------------------------
 
@@ -1209,7 +1213,7 @@ TEST(FlatEventHeap, PopsInTimeOrder) {
 }
 
 TEST(FlatEventHeap, EqualTimesPopInScheduleOrder) {
-  // The determinism contract shared with EventQueue: ties break by
+  // The determinism contract shared with audit::EventQueue: ties break by
   // scheduling order (monotone sequence number), never heap position.
   FlatEventHeap<int> h;
   h.schedule(2.0, 100);
@@ -1219,9 +1223,8 @@ TEST(FlatEventHeap, EqualTimesPopInScheduleOrder) {
 }
 
 TEST(FlatEventHeap, RejectsPastEvents) {
-  // Satellite of the EventQueue "must be >= now()" contract: the typed
-  // core enforces it identically (the seed queue already throws; see
-  // EventQueue.RejectsPastEvents above).
+  // The EventQueue "must be >= now()" contract: the typed core enforces it
+  // identically (see EventQueue.RejectsPastEvents above).
   FlatEventHeap<int> h;
   h.schedule(5.0, 1);
   (void)h.pop();
@@ -1278,15 +1281,80 @@ TEST(PktSimEngines, ReferenceEngineMatchesTypedOnDumbbell) {
     const Flow f = d.flow(i, 4 + i, 10000);
     msgs.push_back(make_msg(d.topo, i, 4 + i, f.bytes, f.channels));
   }
-  PktSimConfig typed_cfg;
-  PktSim typed(d.topo, typed_cfg);
-  PktSimConfig ref_cfg;
-  ref_cfg.engine = PktSimConfig::Engine::kReference;
-  PktSim ref(d.topo, ref_cfg);
+  PktSim typed(d.topo, PktSimConfig{});
   const auto rt = typed.run(msgs);
-  const auto rr = ref.run(msgs);
+  const auto rr = audit::reference_run(d.topo, PktSimConfig{}, msgs);
   expect_results_identical(rt, rr);
   EXPECT_GT(rt.events_executed, 0);
+}
+
+TEST(PktSimEngines, RejectNonPhysicalLinkAndMessageInputs) {
+  // Every input that used to crash (mtu 0: division by zero), fail
+  // mid-run (NaN/negative bandwidth, negative hop latency: events in the
+  // past), pass silently (+inf bandwidth) or be coerced (negative bytes:
+  // one 1-byte packet) is rejected up front by both engines with
+  // std::invalid_argument; message inputs name the message index.
+  const Dumbbell d;
+  const std::vector<PktMessage> good{
+      make_msg(d.topo, 0, 4, 1000, d.flow(0, 4, 1000).channels)};
+  const auto rejects = [&](const PktSimConfig& cfg,
+                           const std::vector<PktMessage>& msgs,
+                           const std::string& needle) {
+    for (const bool reference : {false, true}) {
+      try {
+        (void)(reference ? audit::reference_run(d.topo, cfg, msgs)
+                         : PktSim(d.topo, cfg).run(msgs));
+        ADD_FAILURE() << (reference ? "reference" : "typed")
+                      << " engine accepted the input";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bandwidth : {0.0, -1.0, nan, inf}) {
+    SCOPED_TRACE("bandwidth " + std::to_string(bandwidth));
+    PktSimConfig cfg;
+    cfg.link.bandwidth = bandwidth;
+    rejects(cfg, good, "bandwidth");
+  }
+  for (const double hop_latency : {-1e-9, nan, inf}) {
+    SCOPED_TRACE("hop_latency " + std::to_string(hop_latency));
+    PktSimConfig cfg;
+    cfg.link.hop_latency = hop_latency;
+    rejects(cfg, good, "hop latency");
+  }
+  for (const std::int32_t mtu : {0, -2048}) {
+    SCOPED_TRACE("mtu " + std::to_string(mtu));
+    PktSimConfig cfg;
+    cfg.link.mtu = mtu;
+    rejects(cfg, good, "mtu");
+  }
+  for (const double inject_time : {-1e-6, nan, inf}) {
+    SCOPED_TRACE("inject_time " + std::to_string(inject_time));
+    std::vector<PktMessage> msgs = good;
+    msgs.push_back(make_msg(d.topo, 1, 5, 1000, d.flow(1, 5, 1000).channels));
+    msgs.back().inject_time = inject_time;
+    rejects(PktSimConfig{}, msgs, "message 1: inject_time");
+  }
+  std::vector<PktMessage> negative = good;
+  negative.push_back(
+      make_msg(d.topo, 1, 5, -5000, d.flow(1, 5, 1000).channels));
+  rejects(PktSimConfig{}, negative, "message 1: negative byte count");
+
+  // The boundaries stay legal: zero hop latency, a 1-byte MTU, a zero-byte
+  // message (one 1-byte packet) at t = 0.
+  PktSimConfig edge;
+  edge.link.hop_latency = 0.0;
+  edge.link.mtu = 1;
+  std::vector<PktMessage> zero = good;
+  zero[0].bytes = 0;
+  const auto rt = PktSim(d.topo, edge).run(zero);
+  EXPECT_EQ(rt.packets_delivered, 1);
+  expect_results_identical(rt, audit::reference_run(d.topo, edge, zero));
 }
 
 TEST(PktSimEngines, WarmRunsAreRepeatable) {
@@ -1590,16 +1658,15 @@ TEST(AdaptiveTieBreak, LowestChannelIdWinsUnderAnyCandidateOrder) {
   std::vector<double> completions;
   do {
     const PermutingRouter router(star, order);
-    for (const auto engine : {PktSimConfig::Engine::kTyped,
-                              PktSimConfig::Engine::kReference}) {
+    for (const bool reference : {false, true}) {
       obs::PktTrace trace;
       PktSimConfig cfg;
       cfg.adaptive = &router;
       cfg.num_vls = 2;
       cfg.trace = &trace;
-      cfg.engine = engine;
-      PktSim sim(star.topo, cfg);
-      const auto result = sim.run(msgs);
+      const auto result = reference
+                              ? audit::reference_run(star.topo, cfg, msgs)
+                              : PktSim(star.topo, cfg).run(msgs);
       ASSERT_FALSE(result.deadlock);
       // The winner is ab[0] (lowest id), never the other spokes.
       EXPECT_EQ(trace.channel_packets(star.ab[0]), 1);
