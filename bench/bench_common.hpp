@@ -21,7 +21,6 @@
 
 #include "exec/exec.hpp"
 #include "mpi/cluster.hpp"
-#include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_clock.hpp"
 #include "stats/csv.hpp"
@@ -119,10 +118,6 @@ inline void write_trace(const BenchArgs& args,
   registry.write_csv(stem);
   std::printf("wrote trace %s\n", args.trace_path->c_str());
 }
-
-/// Machine-readable perf record (BENCH_<bench>.json); lives in obs/ so
-/// the phases share the report/ result schema (obs::BenchJson::publish).
-using BenchJson = obs::BenchJson;
 
 /// Optional CSV sink (no-op when --csv is absent).
 class CsvSink {

@@ -62,6 +62,7 @@ void register_all_experiments(report::Registry& registry) {
   registry.add(pktsim_speedup_experiment());
   registry.add(flowsim_speedup_experiment());
   registry.add(online_resilience_experiment());
+  registry.add(resilience_campaign_experiment());
 }
 
 report::Registry& global_registry() {

@@ -29,15 +29,7 @@ report::ResultSet run(const report::Options& options) {
   const BenchArgs args = to_bench_args(options);
   report::ResultSet rs;
 
-  topo::HyperXParams params;
-  if (args.quick) {
-    params.dims = {6, 4};
-    params.terminals_per_switch = 4;  // 96 nodes
-    params.name = "hyperx-6x4-small";
-  } else {
-    params = topo::paper_hyperx_params();
-  }
-  topo::HyperX hx(params);
+  topo::HyperX hx(workloads::system_hyperx_params(args.quick));
   routing::LidSpace lids =
       routing::LidSpace::consecutive(hx.topo().num_terminals(), 0);
   routing::DfssspEngine dfsssp(8);

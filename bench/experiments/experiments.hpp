@@ -48,12 +48,14 @@ report::Experiment uniform_random_throughput_experiment();
 report::Experiment topology_comparison_experiment();
 report::Experiment taper_study_experiment();
 // Repo-level experiments (claims about this implementation, not the
-// paper): incremental-reroute savings, typed packet-engine speedup and
-// indexed flow-solver speedup.
+// paper): incremental-reroute savings, typed packet-engine speedup,
+// indexed flow-solver speedup and the online-fault contract.
 report::Experiment reroute_dirty_experiment();
 report::Experiment pktsim_speedup_experiment();
 report::Experiment flowsim_speedup_experiment();
 report::Experiment online_resilience_experiment();
+// The degraded-fabric campaign (§2.3 / footnote 7 generalised).
+report::Experiment resilience_campaign_experiment();
 
 /// Registers every experiment above.
 void register_all_experiments(report::Registry& registry);

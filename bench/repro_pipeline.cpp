@@ -19,6 +19,7 @@
 // claims/ edit that the committed numbers no longer satisfy.
 // --from skips the measurement and loads an existing store instead
 // (claims + render on committed results, seconds instead of minutes).
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "experiments/experiments.hpp"
@@ -82,6 +84,19 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// Decimal parse of the whole of `text` into `out`; false (and `out`
+/// untouched) on an empty string, a sign an unsigned type cannot hold,
+/// trailing characters or overflow.
+template <typename T>
+bool parse_whole(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, PipelineArgs& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -105,15 +120,27 @@ bool parse_args(int argc, char** argv, PipelineArgs& args) {
     } else if (a == "--seed") {
       const char* v = value();
       if (!v) return false;
-      args.options.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_whole(v, args.options.seed)) {
+        std::fprintf(stderr, "%s: --seed needs a non-negative integer, got "
+                     "'%s'\n", argv[0], v);
+        return false;
+      }
     } else if (a == "--reps") {
       const char* v = value();
       if (!v) return false;
-      args.options.reps = static_cast<std::int32_t>(std::atoi(v));
+      if (!parse_whole(v, args.options.reps) || args.options.reps < 1) {
+        std::fprintf(stderr, "%s: --reps needs an integer >= 1, got '%s'\n",
+                     argv[0], v);
+        return false;
+      }
     } else if (a == "--threads") {
       const char* v = value();
       if (!v) return false;
-      args.options.threads = static_cast<std::int32_t>(std::atoi(v));
+      if (!parse_whole(v, args.options.threads) || args.options.threads < 0) {
+        std::fprintf(stderr, "%s: --threads needs an integer >= 0, got "
+                     "'%s'\n", argv[0], v);
+        return false;
+      }
     } else if (a == "--out") {
       const char* v = value();
       if (!v) return false;

@@ -26,31 +26,4 @@ bool DegradationSeries::all_acyclic(std::string_view engine) const {
   return true;
 }
 
-void DegradationSeries::publish(MetricRegistry& registry) const {
-  for (const DegradationSample& s : samples_) {
-    const std::string name = "resilience_" + s.fabric + "_" + s.engine;
-    MetricRegistry::Table& table = registry.table(
-        name, {"stage", "cables_failed", "switches_failed", "reachability",
-               "lost_pairs", "mean_switch_hops", "hop_inflation",
-               "throughput", "retention", "cdg_acyclic", "vls_used",
-               "blackhole_columns", "lost_in_flight", "blackholed", "retries",
-               "abandoned"});
-    table.add_row({static_cast<double>(s.stage),
-                   static_cast<double>(s.cables_failed),
-                   static_cast<double>(s.switches_failed), s.reachability,
-                   static_cast<double>(s.lost_pairs), s.mean_switch_hops,
-                   s.hop_inflation, s.throughput, s.retention,
-                   s.cdg_acyclic ? 1.0 : 0.0,
-                   static_cast<double>(s.vls_used),
-                   static_cast<double>(s.blackhole_columns),
-                   static_cast<double>(s.packets_lost_in_flight),
-                   static_cast<double>(s.packets_blackholed),
-                   static_cast<double>(s.retries),
-                   static_cast<double>(s.messages_abandoned)});
-    // Overwritten by later stages of the same group: the scalar ends up
-    // holding the final (worst) envelope value.
-    registry.set(name + "_final_retention", s.retention);
-  }
-}
-
 }  // namespace hxsim::obs

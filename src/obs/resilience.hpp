@@ -4,9 +4,8 @@
 // stage): how much of the fabric is gone, what the rerouted engine still
 // reaches, how far paths inflated, how much throughput the traffic retains,
 // and whether the shipped tables are still deadlock-free.  The series is
-// plain data; publish() exports it through MetricRegistry (one table per
-// fabric x engine plus headline scalars), the same JSON/CSV surface every
-// other counter in the repo uses.
+// plain data; the resilience_campaign experiment writes it into REPRO.json
+// as one result table.
 //
 // Two throughput columns, on purpose:
 //  - `throughput`: delivered fraction of injection bandwidth measured at
@@ -17,11 +16,10 @@
 //    we can still guarantee after k failures" curve.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace hxsim::obs {
 
@@ -74,13 +72,6 @@ class DegradationSeries {
 
   /// True iff every sample of `engine` (any fabric) has an acyclic CDG.
   [[nodiscard]] bool all_acyclic(std::string_view engine) const;
-
-  /// Exports one table "resilience_<fabric>_<engine>" per group (columns:
-  /// stage, cables_failed, switches_failed, reachability, lost_pairs,
-  /// mean_switch_hops, hop_inflation, throughput, retention, cdg_acyclic,
-  /// vls_used, blackhole_columns, lost_in_flight, blackholed, retries,
-  /// abandoned) plus "<table>_final_retention" scalars.
-  void publish(MetricRegistry& registry) const;
 
  private:
   std::vector<DegradationSample> samples_;

@@ -1,6 +1,5 @@
 #include "routing/delta.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -56,11 +55,7 @@ DeltaStats update_independent_columns(const topo::Topology& topo,
 }  // namespace delta_detail
 
 DeltaRouter::DeltaRouter(RoutingEngine& engine)
-    : engine_(&engine), delta_(dynamic_cast<DeltaCapable*>(&engine)) {
-  const char* env = std::getenv("HXSIM_VERIFY_DELTA");
-  verify_ = env != nullptr && env[0] != '\0' &&
-            !(env[0] == '0' && env[1] == '\0');
-}
+    : engine_(&engine), delta_(dynamic_cast<DeltaCapable*>(&engine)) {}
 
 const RouteResult& DeltaRouter::result() const {
   if (!has_) throw std::logic_error("DeltaRouter::result: no reroute yet");
@@ -96,18 +91,6 @@ const RouteResult& DeltaRouter::reroute(const topo::Topology& topo,
       throw;
     }
     has_ = true;
-    if (verify_ && !s.full_recompute) {
-      // Full recomputes *are* the reference; everything else is checked
-      // bit-identical against one.  compute() leaves tracking untouched.
-      const RouteResult full = engine_->compute(topo, lids);
-      if (!(full == result_)) {
-        delta_->invalidate_tracking();
-        has_ = false;
-        throw std::logic_error(
-            "HXSIM_VERIFY_DELTA: incremental tables for engine '" +
-            engine_->name() + "' differ from a full recompute");
-      }
-    }
   }
   if (stats != nullptr) *stats = std::move(s);
   return result_;

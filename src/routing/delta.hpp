@@ -28,10 +28,10 @@
 //
 // DeltaRouter wraps any RoutingEngine: capable engines (detected via the
 // DeltaCapable mixin) go through the incremental path, everything else
-// falls back to compute().  With HXSIM_VERIFY_DELTA=1 in the environment
-// every incremental update is additionally checked bit-identical against a
-// fresh full compute (std::logic_error on mismatch) -- the CI smoke runs
-// the reroute bench in this mode.
+// falls back to compute().  The bit-identity of every incremental update
+// with a fresh full compute is checked from outside: by the reroute_dirty
+// experiment at every stage, by tests/delta_routing_test.cpp and by the
+// audit's delta_identity oracle.
 #pragma once
 
 #include <cstdint>
@@ -96,10 +96,10 @@ struct DeltaStats {
 /// Contract: compute_tracked() behaves exactly like compute() but snapshots
 /// per-column delta state; update_tracked() then patches `io` (the result
 /// the tracked state describes) to what compute() would return on the
-/// changed topology -- bit-identical, asserted by DeltaRouter's verify
-/// mode.  Plain compute() never touches the tracked state, so verify-mode
-/// recomputes are safe; callers that mutate the topology behind the
-/// engine's back must route the change through update_tracked() or call
+/// changed topology -- bit-identical (see the checks named above).  Plain
+/// compute() never touches the tracked state, so a full recompute between
+/// updates is safe; callers that mutate the topology behind the engine's
+/// back must route the change through update_tracked() or call
 /// invalidate_tracking().
 class DeltaCapable {
  public:
@@ -165,12 +165,10 @@ DeltaStats update_independent_columns(const topo::Topology& topo,
 /// references from result() stay valid across stages.
 class DeltaRouter {
  public:
-  /// Reads HXSIM_VERIFY_DELTA from the environment once (any value but
-  /// "0" enables verify mode).  The engine is not owned.
+  /// The engine is not owned.
   explicit DeltaRouter(RoutingEngine& engine);
 
   [[nodiscard]] bool incremental() const noexcept { return delta_ != nullptr; }
-  [[nodiscard]] bool verifying() const noexcept { return verify_; }
   [[nodiscard]] bool has_result() const noexcept { return has_; }
   [[nodiscard]] const RouteResult& result() const;
   [[nodiscard]] RoutingEngine& engine() const noexcept { return *engine_; }
@@ -181,8 +179,7 @@ class DeltaRouter {
 
   /// Incremental update after `update`'s channels changed state on `topo`.
   /// Falls back to reroute_full() when no baseline exists or the engine is
-  /// not capable; in verify mode additionally asserts bit-identity against
-  /// engine().compute().  On exception the tracked state is invalidated
+  /// not capable.  On exception the tracked state is invalidated
   /// (the next reroute recomputes fully) and the exception rethrown.
   const RouteResult& reroute(const topo::Topology& topo, const LidSpace& lids,
                              const DeltaUpdate& update,
@@ -195,7 +192,6 @@ class DeltaRouter {
  private:
   RoutingEngine* engine_;
   DeltaCapable* delta_;
-  bool verify_ = false;
   bool has_ = false;
   RouteResult result_;
 };

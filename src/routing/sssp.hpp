@@ -20,7 +20,7 @@
 // per-LID fabric*: rules R1-R4 (core/quadrant.hpp, Section 3.2.3) first
 // delete the quadrant's forbidden links, then this weighted-Dijkstra
 // balancing routes the survivors.  Run bare on the HyperX it produces the
-// CDG cycles bench/resilience_campaign flags as "CYCLE".
+// CDG cycles the resilience_campaign experiment flags as "CYCLE".
 #pragma once
 
 #include "obs/phase_clock.hpp"

@@ -10,7 +10,8 @@
 // the HyperX.  Up*/Down* needs no virtual lanes where DFSSSP spends them
 // and PARX's Algorithm 1 spends LIDs (rules R1-R4, core/quadrant.hpp), but
 // pays with root congestion -- visible in this repo as the lowest
-// throughput column of bench/resilience_campaign and the engine matrix.
+// throughput column of the resilience_campaign experiment and the engine
+// matrix.
 #pragma once
 
 #include "routing/delta.hpp"

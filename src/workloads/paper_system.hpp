@@ -24,6 +24,17 @@
 
 namespace hxsim::workloads {
 
+/// The paper's fat-tree plane (18-ary 3-tree, 672 nodes), or with
+/// `small_scale` the 96-node quick-run tree (6-ary 3-tree, 24 populated
+/// leaves of 4 nodes) every --quick experiment uses.  Not the same fabric
+/// as topo::small_fat_tree_params (a 2-level unit-test tree).
+[[nodiscard]] topo::FatTreeParams system_fat_tree_params(bool small_scale);
+
+/// The paper's 12x8 HyperX plane (672 nodes), or with `small_scale` the
+/// 96-node quick-run 6x4 lattice with 4 terminals per switch.  Not the
+/// same fabric as topo::small_hyperx_params (a 4x4 unit-test lattice).
+[[nodiscard]] topo::HyperXParams system_hyperx_params(bool small_scale);
+
 struct SystemOptions {
   bool with_faults = true;
   /// Seed for the missing-cable sample.  The default keeps the cables of

@@ -21,6 +21,7 @@
 #include "topo/fat_tree.hpp"
 #include "topo/fault_injector.hpp"
 #include "topo/hyperx.hpp"
+#include "workloads/paper_system.hpp"
 
 namespace hxsim {
 namespace {
@@ -57,33 +58,17 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return name + "Threads" + std::to_string(info.param.threads);
 }
 
-topo::FatTreeParams small_tree_params() {
-  topo::FatTreeParams p;
-  p.arity = 6;
-  p.levels = 3;
-  p.leaf_terminals = 4;
-  p.populated_leaves = 24;  // 96 nodes
-  p.name = "fat-tree-6ary3-small";
-  return p;
-}
-
-topo::HyperXParams small_hyperx_params() {
-  topo::HyperXParams p;
-  p.dims = {6, 4};
-  p.terminals_per_switch = 4;  // 96 nodes
-  p.name = "hyperx-6x4-small";
-  return p;
-}
-
 class DeltaRoutingTest : public ::testing::TestWithParam<Case> {
  protected:
   void SetUp() override {
     const Case& c = GetParam();
     if (c.fabric == Fabric::kFatTree) {
-      tree_ = std::make_unique<topo::FatTree>(small_tree_params());
+      tree_ = std::make_unique<topo::FatTree>(
+          workloads::system_fat_tree_params(true));
       topo_ = &tree_->topo();
     } else {
-      hx_ = std::make_unique<topo::HyperX>(small_hyperx_params());
+      hx_ = std::make_unique<topo::HyperX>(
+          workloads::system_hyperx_params(true));
       topo_ = &hx_->topo();
     }
     switch (c.engine) {
@@ -168,30 +153,6 @@ TEST_P(DeltaRoutingTest, BitIdenticalAcrossFaultStagesAndRevert) {
       router.reroute(topo, lids_, revert_update, &stats);
   EXPECT_TRUE(stats.full_recompute);
   EXPECT_EQ(restored, intact);
-}
-
-TEST_P(DeltaRoutingTest, VerifyModePassesOnCleanUpdates) {
-  // HXSIM_VERIFY_DELTA is read once per router; with it set, every
-  // incremental update self-checks against a full recompute and throws on
-  // divergence -- so simply completing a faulted update is the assertion.
-  ::setenv("HXSIM_VERIFY_DELTA", "1", 1);
-  routing::DeltaRouter router(*engine_);
-  ::unsetenv("HXSIM_VERIFY_DELTA");
-  ASSERT_TRUE(router.verifying());
-
-  topo::Topology& topo = *topo_;
-  topo::FaultSchedule::Options opt;
-  opt.stages = 1;
-  opt.links_per_stage = 2;
-  opt.seed = 11;
-  const topo::FaultSchedule schedule = topo::FaultSchedule::plan(topo, opt);
-
-  router.reroute_full(topo, lids_);
-  topo::FaultReport report = schedule.apply_stage(topo, 0);
-  routing::DeltaUpdate update;
-  update.disabled = std::move(report.disabled_channels);
-  EXPECT_NO_THROW(router.reroute(topo, lids_, update, nullptr));
-  schedule.revert(topo);
 }
 
 std::vector<Case> all_cases() {
