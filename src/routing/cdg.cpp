@@ -1,8 +1,10 @@
 #include "routing/cdg.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace hxsim::routing {
 
@@ -11,129 +13,117 @@ IncrementalDag::IncrementalDag(std::int32_t num_nodes)
       out_(static_cast<std::size_t>(num_nodes)),
       in_(static_cast<std::size_t>(num_nodes)),
       ord_(static_cast<std::size_t>(num_nodes)),
-      node_at_(static_cast<std::size_t>(num_nodes)),
-      mark_(static_cast<std::size_t>(num_nodes), 0) {
+      visited_in_(static_cast<std::size_t>(num_nodes), 0) {
   std::iota(ord_.begin(), ord_.end(), 0);
-  std::iota(node_at_.begin(), node_at_.end(), 0);
+}
+
+void IncrementalDag::check_range(std::int32_t u, std::int32_t v,
+                                 const char* what) const {
+  if (u < 0 || u >= n_ || v < 0 || v >= n_)
+    throw std::out_of_range(std::string(what) + ": node out of range");
 }
 
 bool IncrementalDag::has_edge(std::int32_t u, std::int32_t v) const {
-  return edge_set_.contains(key(u, v));
+  check_range(u, v, "IncrementalDag::has_edge");
+  const auto& outs = out_[static_cast<std::size_t>(u)];
+  return std::find(outs.begin(), outs.end(), v) != outs.end();
 }
 
-bool IncrementalDag::dfs_forward(std::int32_t v, std::int32_t ub,
-                                 std::vector<std::int32_t>& visited) {
+bool IncrementalDag::visit(std::int32_t node) {
+  std::uint32_t& seen = visited_in_[static_cast<std::size_t>(node)];
+  if (seen == stamp_) return false;
+  seen = stamp_;
+  return true;
+}
+
+bool IncrementalDag::dfs_forward(std::int32_t v, std::int32_t ub) {
   // Iterative DFS; nodes beyond position ub cannot participate in a cycle
-  // with the new edge.  Reaching position ub itself means reaching u.
-  std::vector<std::int32_t> stack{v};
-  mark_[static_cast<std::size_t>(v)] = 1;
-  visited.push_back(v);
-  bool found = false;
-  while (!stack.empty()) {
-    const std::int32_t w = stack.back();
-    stack.pop_back();
+  // with the new edge.  Reaching position ub itself means reaching u: the
+  // edge is rejected and the rest of the region need not be walked.
+  delta_f_.assign(1, v);
+  stack_.assign(1, v);
+  visit(v);
+  while (!stack_.empty()) {
+    const std::int32_t w = stack_.back();
+    stack_.pop_back();
     for (std::int32_t next : out_[static_cast<std::size_t>(w)]) {
       const std::int32_t pos = ord_[static_cast<std::size_t>(next)];
-      if (pos == ub) {
-        found = true;  // cycle: u reachable from v
-        continue;
-      }
-      if (pos > ub || mark_[static_cast<std::size_t>(next)]) continue;
-      mark_[static_cast<std::size_t>(next)] = 1;
-      visited.push_back(next);
-      stack.push_back(next);
+      if (pos == ub) return true;  // cycle: u reachable from v
+      if (pos > ub || !visit(next)) continue;
+      delta_f_.push_back(next);
+      stack_.push_back(next);
     }
   }
-  return found;
+  return false;
 }
 
-void IncrementalDag::dfs_backward(std::int32_t u, std::int32_t lb,
-                                  std::vector<std::int32_t>& visited) {
-  std::vector<std::int32_t> stack{u};
-  mark_[static_cast<std::size_t>(u)] = 1;
-  visited.push_back(u);
-  while (!stack.empty()) {
-    const std::int32_t w = stack.back();
-    stack.pop_back();
+void IncrementalDag::dfs_backward(std::int32_t u, std::int32_t lb) {
+  delta_b_.assign(1, u);
+  stack_.assign(1, u);
+  visit(u);
+  while (!stack_.empty()) {
+    const std::int32_t w = stack_.back();
+    stack_.pop_back();
     for (std::int32_t prev : in_[static_cast<std::size_t>(w)]) {
       const std::int32_t pos = ord_[static_cast<std::size_t>(prev)];
-      if (pos < lb || mark_[static_cast<std::size_t>(prev)]) continue;
-      mark_[static_cast<std::size_t>(prev)] = 1;
-      visited.push_back(prev);
-      stack.push_back(prev);
+      if (pos < lb || !visit(prev)) continue;
+      delta_b_.push_back(prev);
+      stack_.push_back(prev);
     }
   }
 }
 
-void IncrementalDag::reorder(std::vector<std::int32_t>& delta_b,
-                             std::vector<std::int32_t>& delta_f) {
+void IncrementalDag::reorder() {
   auto by_position = [this](std::int32_t a, std::int32_t b) {
     return ord_[static_cast<std::size_t>(a)] < ord_[static_cast<std::size_t>(b)];
   };
-  std::sort(delta_b.begin(), delta_b.end(), by_position);
-  std::sort(delta_f.begin(), delta_f.end(), by_position);
-
-  std::vector<std::int32_t> pool;
-  pool.reserve(delta_b.size() + delta_f.size());
-  for (std::int32_t node : delta_b)
-    pool.push_back(ord_[static_cast<std::size_t>(node)]);
-  for (std::int32_t node : delta_f)
-    pool.push_back(ord_[static_cast<std::size_t>(node)]);
-  std::sort(pool.begin(), pool.end());
-
-  std::size_t slot = 0;
-  auto place = [&](std::int32_t node) {
-    const std::int32_t pos = pool[slot++];
-    ord_[static_cast<std::size_t>(node)] = pos;
-    node_at_[static_cast<std::size_t>(pos)] = node;
-  };
-  for (std::int32_t node : delta_b) place(node);
-  for (std::int32_t node : delta_f) place(node);
+  std::sort(delta_b_.begin(), delta_b_.end(), by_position);
+  std::sort(delta_f_.begin(), delta_f_.end(), by_position);
+  // delta_b_ then delta_f_, each keeping its relative order, take over the
+  // sorted union of their positions.
+  delta_b_.insert(delta_b_.end(), delta_f_.begin(), delta_f_.end());
+  pool_.clear();
+  for (std::int32_t node : delta_b_)
+    pool_.push_back(ord_[static_cast<std::size_t>(node)]);
+  std::sort(pool_.begin(), pool_.end());
+  for (std::size_t i = 0; i < delta_b_.size(); ++i)
+    ord_[static_cast<std::size_t>(delta_b_[i])] = pool_[i];
 }
 
 bool IncrementalDag::add_edge(std::int32_t u, std::int32_t v) {
-  if (u < 0 || u >= n_ || v < 0 || v >= n_)
-    throw std::out_of_range("IncrementalDag::add_edge: node out of range");
+  check_range(u, v, "IncrementalDag::add_edge");
   if (u == v) return false;  // a self-loop is a cycle
   if (has_edge(u, v)) return true;
 
   const std::int32_t lb = ord_[static_cast<std::size_t>(v)];
   const std::int32_t ub = ord_[static_cast<std::size_t>(u)];
-  if (lb > ub) {
-    // Order already consistent; plain insertion.
-    edge_set_.insert(key(u, v));
-    out_[static_cast<std::size_t>(u)].push_back(v);
-    in_[static_cast<std::size_t>(v)].push_back(u);
-    return true;
+  if (lb < ub) {
+    // Pearce-Kelly: search the affected region [lb, ub] under a fresh
+    // visit stamp (both searches share it: their regions are disjoint
+    // unless there is a cycle, and then the backward one never runs).
+    if (++stamp_ == 0) {  // wrapped: forget every old stamp
+      std::fill(visited_in_.begin(), visited_in_.end(), 0);
+      stamp_ = 1;
+    }
+    if (dfs_forward(v, ub)) return false;
+    dfs_backward(u, lb);
+    reorder();
   }
-
-  // Pearce-Kelly: discover the affected region [lb, ub].
-  std::vector<std::int32_t> delta_f;
-  const bool cycle = dfs_forward(v, ub, delta_f);
-  if (cycle) {
-    for (std::int32_t node : delta_f) mark_[static_cast<std::size_t>(node)] = 0;
-    return false;
-  }
-  std::vector<std::int32_t> delta_b;
-  dfs_backward(u, lb, delta_b);
-  reorder(delta_b, delta_f);
-  for (std::int32_t node : delta_f) mark_[static_cast<std::size_t>(node)] = 0;
-  for (std::int32_t node : delta_b) mark_[static_cast<std::size_t>(node)] = 0;
-
-  edge_set_.insert(key(u, v));
   out_[static_cast<std::size_t>(u)].push_back(v);
   in_[static_cast<std::size_t>(v)].push_back(u);
+  ++num_edges_;
   return true;
 }
 
 void IncrementalDag::remove_edge(std::int32_t u, std::int32_t v) {
-  const auto it = edge_set_.find(key(u, v));
-  if (it == edge_set_.end()) return;
-  edge_set_.erase(it);
+  check_range(u, v, "IncrementalDag::remove_edge");
   auto& outs = out_[static_cast<std::size_t>(u)];
-  outs.erase(std::find(outs.begin(), outs.end(), v));
+  const auto out_it = std::find(outs.rbegin(), outs.rend(), v);
+  if (out_it == outs.rend()) return;
+  outs.erase(std::next(out_it).base());
   auto& ins = in_[static_cast<std::size_t>(v)];
-  ins.erase(std::find(ins.begin(), ins.end(), u));
+  ins.erase(std::next(std::find(ins.rbegin(), ins.rend(), u)).base());
+  --num_edges_;
 }
 
 VlLayering::VlLayering(std::int32_t num_channels, std::int32_t max_layers) {
@@ -153,7 +143,7 @@ std::int32_t VlLayering::place_path(
   }
   for (std::int32_t layer = 0; layer < max_layers(); ++layer) {
     IncrementalDag& dag = layers_[static_cast<std::size_t>(layer)];
-    std::vector<std::pair<std::int32_t, std::int32_t>> added;
+    added_.clear();
     bool ok = true;
     for (std::size_t i = 0; i + 1 < channel_path.size(); ++i) {
       const std::int32_t a = channel_path[i];
@@ -163,13 +153,15 @@ std::int32_t VlLayering::place_path(
         ok = false;
         break;
       }
-      added.emplace_back(a, b);
+      added_.emplace_back(a, b);
     }
     if (ok) {
       layers_used_ = std::max(layers_used_, layer + 1);
       return layer;
     }
-    for (auto [a, b] : added) dag.remove_edge(a, b);
+    // Newest first: each removal finds its edge in the last list slot.
+    for (auto it = added_.rbegin(); it != added_.rend(); ++it)
+      dag.remove_edge(it->first, it->second);
   }
   return -1;
 }

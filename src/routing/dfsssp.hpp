@@ -37,11 +37,13 @@ class DfssspEngine final : public RoutingEngine, public DeltaCapable {
 
   // DeltaCapable.  The per-destination phase delegates to a persistent
   // tracked SsspEngine (suffix recompute, see sssp.hpp); the VL placement
-  // is inherently global but cheap, so it simply re-runs over the patched
-  // tables whenever any LFT column changed -- and is skipped entirely when
-  // the update left the tables untouched (identical tables => identical
-  // layering).  Plain compute() uses a throwaway base engine and never
-  // disturbs the tracked state.
+  // is inherently global but cheap (paper 12x8 HyperX, 4-core Xeon,
+  // Release: ~0.01 s for DFSSSP's 672 LIDs, ~0.06-0.09 s for PARX's
+  // 2,688 intact/faulted; cdg.hpp has the cost model), so it simply
+  // re-runs over the patched tables whenever any LFT column changed -- and
+  // is skipped entirely when the update left the tables untouched
+  // (identical tables => identical layering).  Plain compute() uses a
+  // throwaway base engine and never disturbs the tracked state.
   [[nodiscard]] RouteResult compute_tracked(const topo::Topology& topo,
                                             const LidSpace& lids) override;
   DeltaStats update_tracked(const topo::Topology& topo, const LidSpace& lids,

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "routing/cdg.hpp"
 #include "routing/dfsssp.hpp"
@@ -613,6 +614,111 @@ TEST(IncrementalDag, RandomizedMatchesBatchChecker) {
     EXPECT_EQ(added, would_be_acyclic) << u << "->" << v;
     if (added) accepted.emplace_back(u, v);
   }
+}
+
+TEST(IncrementalDag, RemoveEdgeFromAnySlot) {
+  IncrementalDag dag(4);
+  EXPECT_TRUE(dag.add_edge(0, 1));
+  EXPECT_TRUE(dag.add_edge(0, 2));
+  EXPECT_TRUE(dag.add_edge(0, 3));
+  dag.remove_edge(0, 2);  // not the newest edge
+  dag.remove_edge(0, 2);  // absent: no-op
+  EXPECT_EQ(dag.num_edges(), 2);
+  EXPECT_TRUE(dag.has_edge(0, 1));
+  EXPECT_FALSE(dag.has_edge(0, 2));
+  EXPECT_TRUE(dag.has_edge(0, 3));
+  EXPECT_TRUE(dag.add_edge(2, 0));
+}
+
+TEST(IncrementalDag, OutOfRangeIdsThrow) {
+  IncrementalDag dag(3);
+  EXPECT_TRUE(dag.add_edge(0, 1));
+  EXPECT_THROW(dag.add_edge(0, 3), std::out_of_range);
+  EXPECT_THROW(dag.add_edge(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)dag.has_edge(3, 0), std::out_of_range);
+  EXPECT_THROW((void)dag.has_edge(0, -1), std::out_of_range);
+  EXPECT_THROW(dag.remove_edge(0, 3), std::out_of_range);
+  EXPECT_THROW(dag.remove_edge(-1, 1), std::out_of_range);
+  EXPECT_EQ(dag.num_edges(), 1);
+  EXPECT_TRUE(dag.has_edge(0, 1));
+}
+
+TEST(VlLayering, RandomPathsMatchBruteForceLowestLayer) {
+  // Oracle sweep over random multi-edge paths on small graphs: the layer
+  // place_path picks must be the lowest L where Kahn's check accepts
+  // E_L + deps(path); every other layer -- in particular one that took a
+  // path's first edges before rejecting it -- must keep its edge set; and
+  // order_of must stay a topological order of every layer.
+  using Edge = std::pair<std::int32_t, std::int32_t>;
+  constexpr std::int32_t kLayers = 3;
+  stats::Rng rng(2024);
+  std::int64_t multi_edge_rollbacks = 0;
+  for (int graph = 0; graph < 20; ++graph) {
+    const auto nodes = static_cast<std::int32_t>(5 + rng.next_below(8));
+    VlLayering layering(nodes, kLayers);
+    std::vector<std::set<Edge>> model(kLayers);
+    std::int32_t used = 0;
+    for (int p = 0; p < 60; ++p) {
+      std::vector<std::int32_t> path{
+          static_cast<std::int32_t>(rng.next_below(nodes))};
+      const auto len = 2 + rng.next_below(5);
+      while (path.size() < len) {
+        const auto next = static_cast<std::int32_t>(rng.next_below(nodes));
+        if (next != path.back()) path.push_back(next);
+      }
+      std::vector<Edge> deps;
+      for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        deps.emplace_back(path[i], path[i + 1]);
+
+      std::int32_t want = -1;
+      for (std::int32_t l = 0; l < kLayers && want < 0; ++l) {
+        std::vector<Edge> trial(model[l].begin(), model[l].end());
+        // Edges the greedy try adds to this layer before it hits the one
+        // that closes a cycle (those are rolled back on rejection).
+        std::int64_t fresh = 0;
+        bool fits = true;
+        for (const Edge& e : deps) {
+          const bool is_new = std::find(trial.begin(), trial.end(), e) ==
+                              trial.end();
+          trial.push_back(e);
+          if (!acyclic(nodes, trial)) {
+            fits = false;
+            break;
+          }
+          if (is_new) ++fresh;
+        }
+        if (fits) want = l;
+        else if (fresh >= 2) ++multi_edge_rollbacks;
+      }
+
+      ASSERT_EQ(layering.place_path(path), want) << "graph " << graph;
+      if (want >= 0) {
+        model[want].insert(deps.begin(), deps.end());
+        used = std::max(used, want + 1);
+      }
+      EXPECT_EQ(layering.layers_used(), used);
+
+      for (std::int32_t l = 0; l < kLayers; ++l) {
+        const IncrementalDag& dag = layering.layer(l);
+        ASSERT_EQ(dag.num_edges(),
+                  static_cast<std::int64_t>(model[l].size()));
+        std::vector<bool> position_taken(nodes, false);
+        for (std::int32_t u = 0; u < nodes; ++u) {
+          const std::int32_t pos = dag.order_of(u);
+          ASSERT_TRUE(pos >= 0 && pos < nodes && !position_taken[pos]);
+          position_taken[pos] = true;
+          for (std::int32_t v = 0; v < nodes; ++v)
+            ASSERT_EQ(dag.has_edge(u, v), model[l].contains({u, v}))
+                << "layer " << l << ": " << u << "->" << v;
+        }
+        for (const auto& [u, v] : model[l])
+          ASSERT_LT(dag.order_of(u), dag.order_of(v))
+              << "layer " << l << ": " << u << "->" << v;
+      }
+    }
+  }
+  // The sweep must exercise rollback of more than a single edge.
+  EXPECT_GT(multi_edge_rollbacks, 20);
 }
 
 TEST(VlLayering, SplitsCyclicPathsAcrossLayers) {
